@@ -67,57 +67,88 @@ BlockHalo::BlockHalo(const par::Comm& comm, int nx_global, int ny_global,
   north_rank_ = by_ < py_ - 1 ? (by_ + 1) * px_ + bx_ : -1;
 }
 
-void BlockHalo::exchange(std::vector<double>& field) const {
-  const auto stride = static_cast<std::size_t>(nx_local_ + 2);
-  AP3_REQUIRE(field.size() == stride * static_cast<std::size_t>(ny_local_ + 2));
+void BlockHalo::exchange(std::span<std::vector<double>* const> fields) const {
+  const auto nxl = static_cast<std::size_t>(nx_local_);
+  const auto nyl = static_cast<std::size_t>(ny_local_);
+  const std::size_t nf = fields.size();
+  for (const std::vector<double>* field : fields)
+    AP3_REQUIRE(field->size() == (nxl + 2) * (nyl + 2));
+  if (nf == 0) return;
+
+  // One staging buffer per call. Sends are eager (the transport copies on
+  // post), so every phase packs, posts and unpacks through the same storage.
+  // Layout is field-major: field f's edge occupies [f·len, (f+1)·len).
+  std::vector<double> buf(nf * std::max(nxl, nyl));
+  auto send = [&](std::size_t n, int dest, int tag) {
+    comm_.send(std::span<const double>(buf.data(), n), dest, tag);
+  };
+  auto recv = [&](std::size_t n, int src, int tag) {
+    const std::size_t got =
+        comm_.recv(std::span<double>(buf.data(), n), src, tag);
+    AP3_REQUIRE(got == n);
+  };
+  auto pack_col = [&](int i) {
+    for (std::size_t f = 0; f < nf; ++f)
+      for (int j = 0; j < ny_local_; ++j)
+        buf[f * nyl + static_cast<std::size_t>(j)] =
+            (*fields[f])[halo_index(i, j)];
+  };
+  auto unpack_col = [&](int i) {
+    for (std::size_t f = 0; f < nf; ++f)
+      for (int j = 0; j < ny_local_; ++j)
+        (*fields[f])[halo_index(i, j)] =
+            buf[f * nyl + static_cast<std::size_t>(j)];
+  };
+  auto pack_row = [&](int j) {
+    for (std::size_t f = 0; f < nf; ++f)
+      for (int i = 0; i < nx_local_; ++i)
+        buf[f * nxl + static_cast<std::size_t>(i)] =
+            (*fields[f])[halo_index(i, j)];
+  };
+  auto unpack_row = [&](int j) {
+    for (std::size_t f = 0; f < nf; ++f)
+      for (int i = 0; i < nx_local_; ++i)
+        (*fields[f])[halo_index(i, j)] =
+            buf[f * nxl + static_cast<std::size_t>(i)];
+  };
+  // Zero-gradient ghost row: copy interior row `from` into ghost row `to`.
+  auto copy_row = [&](int from, int to) {
+    for (std::vector<double>* field : fields)
+      for (int i = 0; i < nx_local_; ++i)
+        (*field)[halo_index(i, to)] = (*field)[halo_index(i, from)];
+  };
 
   // --- east/west (periodic) ---------------------------------------------
-  std::vector<double> west_col(static_cast<std::size_t>(ny_local_));
-  std::vector<double> east_col(static_cast<std::size_t>(ny_local_));
-  for (int j = 0; j < ny_local_; ++j) {
-    west_col[static_cast<std::size_t>(j)] = field[halo_index(0, j)];
-    east_col[static_cast<std::size_t>(j)] = field[halo_index(nx_local_ - 1, j)];
-  }
   // My west edge becomes my west-neighbor's east ghost and vice versa.
-  comm_.send(std::span<const double>(west_col), west_rank_, kTagEast);
-  comm_.send(std::span<const double>(east_col), east_rank_, kTagWest);
-  std::vector<double> from_west(static_cast<std::size_t>(ny_local_));
-  std::vector<double> from_east(static_cast<std::size_t>(ny_local_));
-  comm_.recv(std::span<double>(from_west), west_rank_, kTagWest);
-  comm_.recv(std::span<double>(from_east), east_rank_, kTagEast);
-  for (int j = 0; j < ny_local_; ++j) {
-    field[halo_index(-1, j)] = from_west[static_cast<std::size_t>(j)];
-    field[halo_index(nx_local_, j)] = from_east[static_cast<std::size_t>(j)];
-  }
+  pack_col(0);
+  send(nf * nyl, west_rank_, kTagEast);
+  pack_col(nx_local_ - 1);
+  send(nf * nyl, east_rank_, kTagWest);
+  recv(nf * nyl, west_rank_, kTagWest);
+  unpack_col(-1);
+  recv(nf * nyl, east_rank_, kTagEast);
+  unpack_col(nx_local_);
 
   // --- south/north interior ------------------------------------------------
-  std::vector<double> row(static_cast<std::size_t>(nx_local_));
   if (south_rank_ >= 0) {
-    for (int i = 0; i < nx_local_; ++i)
-      row[static_cast<std::size_t>(i)] = field[halo_index(i, 0)];
-    comm_.send(std::span<const double>(row), south_rank_, kTagNorth);
+    pack_row(0);
+    send(nf * nxl, south_rank_, kTagNorth);
   }
   if (north_rank_ >= 0) {
-    for (int i = 0; i < nx_local_; ++i)
-      row[static_cast<std::size_t>(i)] = field[halo_index(i, ny_local_ - 1)];
-    comm_.send(std::span<const double>(row), north_rank_, kTagSouth);
+    pack_row(ny_local_ - 1);
+    send(nf * nxl, north_rank_, kTagSouth);
   }
   if (south_rank_ >= 0) {
-    comm_.recv(std::span<double>(row), south_rank_, kTagSouth);
-    for (int i = 0; i < nx_local_; ++i)
-      field[halo_index(i, -1)] = row[static_cast<std::size_t>(i)];
+    recv(nf * nxl, south_rank_, kTagSouth);
+    unpack_row(-1);
   } else {
-    // Closed southern boundary: zero-gradient ghost.
-    for (int i = 0; i < nx_local_; ++i)
-      field[halo_index(i, -1)] = field[halo_index(i, 0)];
+    copy_row(0, -1);  // closed southern boundary
   }
   if (north_rank_ >= 0) {
-    comm_.recv(std::span<double>(row), north_rank_, kTagNorth);
-    for (int i = 0; i < nx_local_; ++i)
-      field[halo_index(i, ny_local_)] = row[static_cast<std::size_t>(i)];
+    recv(nf * nxl, north_rank_, kTagNorth);
+    unpack_row(ny_local_);
   } else if (!north_fold_) {
-    for (int i = 0; i < nx_local_; ++i)
-      field[halo_index(i, ny_local_)] = field[halo_index(i, ny_local_ - 1)];
+    copy_row(ny_local_ - 1, ny_local_);
   }
 
   // --- tripolar north fold -------------------------------------------------
@@ -137,11 +168,12 @@ void BlockHalo::exchange(std::vector<double>& field) const {
       const int lo = std::max(x0_, mbegin);
       const int hi = std::min(x0_ + nx_local_, mend);
       if (lo >= hi) continue;
-      std::vector<double> chunk(static_cast<std::size_t>(hi - lo));
-      for (int g = lo; g < hi; ++g)
-        chunk[static_cast<std::size_t>(g - lo)] =
-            field[halo_index(g - x0_, ny_local_ - 1)];
-      comm_.send(std::span<const double>(chunk), rank_row_base + pbx, kTagFold);
+      const auto len = static_cast<std::size_t>(hi - lo);
+      for (std::size_t f = 0; f < nf; ++f)
+        for (int g = lo; g < hi; ++g)
+          buf[f * len + static_cast<std::size_t>(g - lo)] =
+              (*fields[f])[halo_index(g - x0_, ny_local_ - 1)];
+      send(nf * len, rank_row_base + pbx, kTagFold);
     }
     // Receive phase: my ghosts [x0, x0+nxl) mirror to [nx-x0-nxl, nx-x0);
     // collect from every owner of that interval.
@@ -153,19 +185,25 @@ void BlockHalo::exchange(std::vector<double>& field) const {
       const int lo = std::max(static_cast<int>(pr.begin), need_begin);
       const int hi = std::min(static_cast<int>(pr.end), need_end);
       if (lo >= hi) continue;
-      std::vector<double> chunk(static_cast<std::size_t>(hi - lo));
-      comm_.recv(std::span<double>(chunk), rank_row_base + pbx, kTagFold);
-      // chunk[c] holds top-row value at global mirror column m = lo + c;
-      // it fills my ghost at global column g = nx-1-m.
-      for (int c = 0; c < hi - lo; ++c) {
-        const int m = lo + c;
-        const int g = nx_global_ - 1 - m;
-        AP3_REQUIRE(g >= x0_ && g < x0_ + nx_local_);
-        field[halo_index(g - x0_, ny_local_)] =
-            chunk[static_cast<std::size_t>(c)];
-      }
+      const auto len = static_cast<std::size_t>(hi - lo);
+      recv(nf * len, rank_row_base + pbx, kTagFold);
+      // Chunk entry c holds the top-row value at global mirror column
+      // m = lo + c; it fills my ghost at global column g = nx-1-m.
+      for (std::size_t f = 0; f < nf; ++f)
+        for (int c = 0; c < hi - lo; ++c) {
+          const int g = nx_global_ - 1 - (lo + c);
+          AP3_REQUIRE(g >= x0_ && g < x0_ + nx_local_);
+          (*fields[f])[halo_index(g - x0_, ny_local_)] =
+              buf[f * len + static_cast<std::size_t>(c)];
+        }
     }
   }
+}
+
+void BlockHalo::flip_fold_vector(std::vector<double>& field) const {
+  if (!north_fold_ || north_rank_ >= 0) return;
+  for (int i = 0; i < nx_local_; ++i)
+    field[halo_index(i, ny_local_)] = -field[halo_index(i, ny_local_)];
 }
 
 GraphHalo::GraphHalo(const par::Comm& comm, std::vector<std::int64_t> owned,
@@ -175,41 +213,46 @@ GraphHalo::GraphHalo(const par::Comm& comm, std::vector<std::int64_t> owned,
   AP3_REQUIRE(std::is_sorted(owned_.begin(), owned_.end()));
 
   // Group ghost requests by owning rank, preserving ghost order per rank.
-  std::map<int, std::vector<std::int64_t>> requests;
+  const auto nranks = static_cast<std::size_t>(comm.size());
+  std::vector<std::vector<std::size_t>> by_owner(nranks);
   for (std::size_t g = 0; g < ghosts_.size(); ++g) {
     const int owner = owner_of(ghosts_[g]);
     AP3_REQUIRE_MSG(owner != comm.rank(), "ghost id owned locally");
-    requests[owner].push_back(ghosts_[g]);
-    recv_plan_[owner].push_back(g);
+    by_owner[static_cast<std::size_t>(owner)].push_back(g);
+  }
+  std::vector<std::int64_t> flat;  // requested ids, grouped by owner
+  std::vector<std::size_t> counts(nranks, 0);
+  flat.reserve(ghosts_.size());
+  recv_plan_.index.reserve(ghosts_.size());
+  for (std::size_t r = 0; r < nranks; ++r) {
+    counts[r] = by_owner[r].size();
+    if (counts[r] == 0) continue;
+    for (std::size_t g : by_owner[r]) {
+      recv_plan_.index.push_back(g);
+      flat.push_back(ghosts_[g]);
+    }
+    recv_plan_.end_peer(static_cast<int>(r));
   }
 
   // Handshake: alltoallv of requested ids tells each rank what to send.
-  std::vector<std::int64_t> flat;
-  std::vector<std::size_t> counts(static_cast<std::size_t>(comm.size()), 0);
-  for (int r = 0; r < comm.size(); ++r) {
-    auto it = requests.find(r);
-    if (it == requests.end()) continue;
-    counts[static_cast<std::size_t>(r)] = it->second.size();
-    flat.insert(flat.end(), it->second.begin(), it->second.end());
-  }
   std::vector<std::size_t> incoming_counts;
   const std::vector<std::int64_t> incoming = comm.alltoallv(
       std::span<const std::int64_t>(flat), std::span<const std::size_t>(counts),
       incoming_counts);
 
+  send_plan_.index.reserve(incoming.size());
   std::size_t offset = 0;
-  for (int r = 0; r < comm.size(); ++r) {
-    const std::size_t n = incoming_counts[static_cast<std::size_t>(r)];
+  for (std::size_t r = 0; r < nranks; ++r) {
+    const std::size_t n = incoming_counts[r];
     if (n == 0) continue;
-    std::vector<std::size_t>& plan = send_plan_[r];
-    plan.reserve(n);
     for (std::size_t k = 0; k < n; ++k) {
       const std::int64_t id = incoming[offset + k];
       const auto it = std::lower_bound(owned_.begin(), owned_.end(), id);
       AP3_REQUIRE_MSG(it != owned_.end() && *it == id,
                       "rank asked for id " << id << " we do not own");
-      plan.push_back(static_cast<std::size_t>(it - owned_.begin()));
+      send_plan_.index.push_back(static_cast<std::size_t>(it - owned_.begin()));
     }
+    send_plan_.end_peer(static_cast<int>(r));
     offset += n;
   }
 }
@@ -218,18 +261,27 @@ void GraphHalo::exchange(std::span<const double> owned_values,
                          std::span<double> ghost_values) const {
   AP3_REQUIRE(owned_values.size() == owned_.size());
   AP3_REQUIRE(ghost_values.size() == ghosts_.size());
-  for (const auto& [peer, indices] : send_plan_) {
-    std::vector<double> payload(indices.size());
-    for (std::size_t k = 0; k < indices.size(); ++k)
-      payload[k] = owned_values[indices[k]];
-    comm_.send(std::span<const double>(payload), peer, kTagGraph);
+  // One payload buffer per call, sized for the larger direction; sends are
+  // eager, so the receive phase reuses it.
+  std::vector<double> payload(
+      std::max(send_plan_.index.size(), recv_plan_.index.size()));
+  for (std::size_t n = 0; n < send_plan_.peers.size(); ++n) {
+    const std::size_t begin = send_plan_.offsets[n];
+    const std::size_t end = send_plan_.offsets[n + 1];
+    for (std::size_t k = begin; k < end; ++k)
+      payload[k - begin] = owned_values[send_plan_.index[k]];
+    comm_.send(std::span<const double>(payload.data(), end - begin),
+               send_plan_.peers[n], kTagGraph);
   }
-  for (const auto& [peer, positions] : recv_plan_) {
-    std::vector<double> payload(positions.size());
-    const std::size_t n = comm_.recv(std::span<double>(payload), peer, kTagGraph);
-    AP3_REQUIRE(n == payload.size());
-    for (std::size_t k = 0; k < positions.size(); ++k)
-      ghost_values[positions[k]] = payload[k];
+  for (std::size_t n = 0; n < recv_plan_.peers.size(); ++n) {
+    const std::size_t begin = recv_plan_.offsets[n];
+    const std::size_t end = recv_plan_.offsets[n + 1];
+    const std::size_t got = comm_.recv(
+        std::span<double>(payload.data(), end - begin), recv_plan_.peers[n],
+        kTagGraph);
+    AP3_REQUIRE(got == end - begin);
+    for (std::size_t k = begin; k < end; ++k)
+      ghost_values[recv_plan_.index[k]] = payload[k - begin];
   }
 }
 

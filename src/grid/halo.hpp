@@ -4,16 +4,17 @@
 // tripolar ocean grid — periodic east/west, closed southern boundary, and
 // the tripolar *north fold* (the top row exchanges with itself mirrored in
 // longitude). Built on non-blocking point-to-point sends, the communication
-// pattern §5.2.4 moves the coupler to.
+// pattern §5.2.4 moves the coupler to. A batched exchange carries any number
+// of fields in one message per neighbour and direction.
 //
 // GraphHalo: generic owner-based halo for unstructured meshes (the
 // icosahedral atmosphere grid). Ghost requirements are negotiated once with
-// an alltoallv handshake; subsequent exchanges are pure p2p.
+// an alltoallv handshake into flat, peer-sorted plans; subsequent exchanges
+// are pure p2p.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <vector>
 
@@ -41,10 +42,25 @@ class BlockHalo {
   int x0() const { return x0_; }
   int y0() const { return y0_; }
 
-  /// `field` is (ny_local+2) × (nx_local+2) row-major with 1-deep ghosts;
-  /// interior element (i, j) lives at field[(j+1)*(nx_local+2) + (i+1)].
-  /// Fills all four ghost edges (corners not exchanged; 5-point stencils).
-  void exchange(std::vector<double>& field) const;
+  /// Every field is (ny_local+2) × (nx_local+2) row-major with 1-deep
+  /// ghosts; interior element (i, j) lives at field[(j+1)*(nx_local+2) +
+  /// (i+1)]. Fills all four ghost edges of every field (corners not
+  /// exchanged; 5-point stencils). One message per neighbour and direction
+  /// (west, east, south, north, fold peer) carries all fields, so the message
+  /// count does not grow with the batch; the ghost values are identical to
+  /// exchanging the fields one at a time.
+  void exchange(std::span<std::vector<double>* const> fields) const;
+  void exchange(std::vector<double>& field) const {
+    std::vector<double>* one[] = {&field};
+    exchange(one);
+  }
+
+  /// Tripolar vector components: the fold ghost row is the top row seen
+  /// rotated by 180°, so an exchanged u or v changes sign there. Negates the
+  /// fold ghosts this block received, columns [0, nx_local) only — the
+  /// corner ghosts are never exchanged and stay untouched. No-op on blocks
+  /// away from the fold.
+  void flip_fold_vector(std::vector<double>& field) const;
 
   std::size_t halo_index(int i, int j) const {
     return static_cast<std::size_t>(j + 1) *
@@ -86,13 +102,26 @@ class GraphHalo {
                 std::span<double> ghost_values) const;
 
  private:
+  /// Compressed per-peer index lists: peers[n] owns
+  /// index[offsets[n] .. offsets[n+1]); peers ascend.
+  struct PeerPlan {
+    std::vector<int> peers;
+    std::vector<std::size_t> offsets{0};
+    std::vector<std::size_t> index;
+    /// Closes the peer whose entries were just appended to `index`.
+    void end_peer(int peer) {
+      peers.push_back(peer);
+      offsets.push_back(index.size());
+    }
+  };
+
   const par::Comm& comm_;
   std::vector<std::int64_t> owned_;
   std::vector<std::int64_t> ghosts_;
-  // For each peer rank: local indices (into owned_) we must send.
-  std::map<int, std::vector<std::size_t>> send_plan_;
-  // For each peer rank: positions (into ghosts_) their payload fills.
-  std::map<int, std::vector<std::size_t>> recv_plan_;
+  // Per peer: local indices (into owned_) we must send.
+  PeerPlan send_plan_;
+  // Per peer: positions (into ghosts_) their payload fills.
+  PeerPlan recv_plan_;
 };
 
 }  // namespace ap3::grid

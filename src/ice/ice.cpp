@@ -212,17 +212,10 @@ void IceModel::dynamics(double dt) {
     v2[c] = vs_[col];
     ++col;
   }
-  halo_->exchange(h2);
-  halo_->exchange(a2);
-  halo_->exchange(u2);
-  halo_->exchange(v2);
-  // Tripolar fold flips vector orientation in the ghost row.
-  if (halo_->y0() + nyl == config_.grid.ny) {
-    for (int i = -1; i <= nxl; ++i) {
-      u2[halo_->halo_index(i, nyl)] = -u2[halo_->halo_index(i, nyl)];
-      v2[halo_->halo_index(i, nyl)] = -v2[halo_->halo_index(i, nyl)];
-    }
-  }
+  std::vector<double>* planes[] = {&h2, &a2, &u2, &v2};
+  halo_->exchange(planes);
+  halo_->flip_fold_vector(u2);
+  halo_->flip_fold_vector(v2);
 
   const double dlat =
       (config_.grid.lat_north - config_.grid.lat_south) * kDegToRad /

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <initializer_list>
 #include <thread>
 
 #include "base/constants.hpp"
@@ -12,6 +13,19 @@
 #include "precision/group_scaled.hpp"
 
 namespace ap3::ocn {
+
+namespace {
+
+/// Every level of the given 3-D stacks, for one batched halo exchange.
+std::vector<std::vector<double>*> levels_of(
+    std::initializer_list<std::vector<std::vector<double>>*> stacks) {
+  std::vector<std::vector<double>*> out;
+  for (auto* stack : stacks)
+    for (auto& level : *stack) out.push_back(&level);
+  return out;
+}
+
+}  // namespace
 
 using constants::kCpSeawater;
 using constants::kDegToRad;
@@ -80,6 +94,22 @@ OcnModel::OcnModel(const par::Comm& comm, const OcnConfig& config,
     area_m2_[static_cast<std::size_t>(j)] =
         dx_m_[static_cast<std::size_t>(j)] * dy_m_[static_cast<std::size_t>(j)];
   }
+  // Zonal spacing for any local row, halo rows included: resolved through
+  // the global row (fold row beyond the top mirrors to the same latitude),
+  // so both ranks sharing a face use the identical face length and fluxes
+  // cancel pairwise to round-off.
+  auto dx_row = [&](int j) {
+    int gj = halo_->y0() + j;
+    if (gj < 0) gj = 0;
+    if (gj >= config_.grid.ny) gj = config_.grid.ny - 1;
+    const double coslat =
+        std::max(0.05, std::cos(grid_->lat_deg(gj) * kDegToRad));
+    return kEarthRadiusM * coslat * 2.0 * kPi / config_.grid.nx;
+  };
+  face_dx_north_.resize(static_cast<std::size_t>(nyl + 1));
+  for (int j = -1; j < nyl; ++j)
+    face_dx_north_[static_cast<std::size_t>(j + 1)] =
+        0.5 * (dx_row(j) + dx_row(j + 1));
 
   // Vertical spacing.
   const int nz = config_.grid.nz;
@@ -96,18 +126,33 @@ OcnModel::OcnModel(const par::Comm& comm, const OcnConfig& config,
         0.5 * (dz_layer_[static_cast<std::size_t>(k)] +
                dz_layer_[static_cast<std::size_t>(k + 1)]);
 
-  // Land mask, active columns, ocean gids.
-  kmt_local_.resize(static_cast<std::size_t>(nxl * nyl));
+  // Land mask over the halo layout. Ghosts consult the (globally
+  // replicated) grid with east/west wraparound; the closed south mirrors the
+  // edge row's mask and the ghost above the top row mirrors in longitude.
+  kmt_halo_.assign(slots, 0);
+  for (int j = -1; j <= nyl; ++j) {
+    for (int i = -1; i <= nxl; ++i) {
+      int gi = halo_->x0() + i;
+      int gj = halo_->y0() + j;
+      gi = (gi % config_.grid.nx + config_.grid.nx) % config_.grid.nx;
+      if (gj < 0) gj = 0;
+      if (gj >= config_.grid.ny) {
+        gj = config_.grid.ny - 1;
+        gi = config_.grid.nx - 1 - gi;
+      }
+      kmt_halo_[field_index(i, j)] = grid_->kmt(gi, gj);
+    }
+  }
+  // Active columns and ocean gids (ascending: row-major over the block).
+  column_of_.assign(slots, 0);
   for (int j = 0; j < nyl; ++j) {
     for (int i = 0; i < nxl; ++i) {
-      const int kmt = grid_->kmt(halo_->x0() + i, halo_->y0() + j);
-      kmt_local_[static_cast<std::size_t>(j * nxl + i)] = kmt;
-      if (kmt > 0) {
-        active_columns_.push_back({i, j});
-        ocean_gids_.push_back(
-            static_cast<std::int64_t>(halo_->y0() + j) * config_.grid.nx +
-            (halo_->x0() + i));
-      }
+      if (kmt_local(i, j) == 0) continue;
+      column_of_[field_index(i, j)] = ocean_gids_.size();
+      active_columns_.push_back({i, j});
+      ocean_gids_.push_back(
+          static_cast<std::int64_t>(halo_->y0() + j) * config_.grid.nx +
+          (halo_->x0() + i));
     }
   }
   gsmap_ = mct::GlobalSegMap::build(comm, ocean_gids_);
@@ -134,10 +179,7 @@ OcnModel::OcnModel(const par::Comm& comm, const OcnConfig& config,
       }
     }
   }
-  for (int k = 0; k < nz; ++k) {
-    exchange_scalar(temp_[static_cast<std::size_t>(k)]);
-    exchange_scalar(salt_[static_cast<std::size_t>(k)]);
-  }
+  halo_->exchange(levels_of({&temp_, &salt_}));
 
   taux_.assign(ocean_gids_.size(), 0.0);
   tauy_.assign(ocean_gids_.size(), 0.0);
@@ -151,8 +193,7 @@ OcnModel::OcnModel(const par::Comm& comm, const OcnConfig& config,
       const bool in_band =
           (config_.stall_i_begin >= 0 && gi >= config_.stall_i_begin) ||
           (config_.stall_j_begin >= 0 && gj >= config_.stall_j_begin);
-      if (in_band)
-        stall_points_ += kmt_local_[static_cast<std::size_t>(j * nxl + i)];
+      if (in_band) stall_points_ += kmt_local(i, j);
     }
   }
 }
@@ -162,46 +203,6 @@ std::vector<std::string> OcnModel::export_fields() {
 }
 std::vector<std::string> OcnModel::import_fields() {
   return {"taux", "tauy", "qnet", "fresh"};
-}
-
-bool OcnModel::is_ocean_local(int i, int j, int k) const {
-  return k < kmt_local(i, j);
-}
-
-int OcnModel::kmt_local(int i, int j) const {
-  if (i < 0 || i >= halo_->nx_local() || j < 0 || j >= halo_->ny_local()) {
-    // Halo cells: consult the (globally replicated) grid with wraparound.
-    int gi = halo_->x0() + i;
-    int gj = halo_->y0() + j;
-    gi = (gi % config_.grid.nx + config_.grid.nx) % config_.grid.nx;
-    if (gj < 0) gj = 0;  // closed south: mirror the edge row's mask
-    if (gj >= config_.grid.ny) {
-      // North fold: ghost above the top row mirrors in longitude.
-      gj = config_.grid.ny - 1;
-      gi = config_.grid.nx - 1 - gi;
-    }
-    return grid_->kmt(gi, gj);
-  }
-  return kmt_local_[static_cast<std::size_t>(j * halo_->nx_local() + i)];
-}
-
-void OcnModel::exchange_scalar(std::vector<double>& field) const {
-  halo_->exchange(field);
-}
-
-void OcnModel::exchange_vector(std::vector<double>& u_field,
-                               std::vector<double>& v_field) const {
-  halo_->exchange(u_field);
-  halo_->exchange(v_field);
-  // Tripolar fold flips the velocity orientation (the ghost row is the same
-  // physical row seen rotated by 180°).
-  if (halo_->y0() + halo_->ny_local() == config_.grid.ny) {
-    const int jg = halo_->ny_local();
-    for (int i = -1; i <= halo_->nx_local(); ++i) {
-      u_field[field_index(i, jg)] = -u_field[field_index(i, jg)];
-      v_field[field_index(i, jg)] = -v_field[field_index(i, jg)];
-    }
-  }
 }
 
 template <typename Fn>
@@ -228,8 +229,10 @@ void OcnModel::for_each_column(Fn&& fn) {
 void OcnModel::barotropic_step(double dt) {
   const int nxl = halo_->nx_local();
   const int nyl = halo_->ny_local();
-  exchange_scalar(eta_);
-  exchange_vector(ubar_, vbar_);
+  std::vector<double>* state[] = {&eta_, &ubar_, &vbar_};
+  halo_->exchange(state);
+  halo_->flip_fold_vector(ubar_);
+  halo_->flip_fold_vector(vbar_);
 
   // Continuity: finite-volume flux divergence with upwind face thickness.
   std::vector<double> deta(static_cast<std::size_t>(nxl * nyl), 0.0);
@@ -242,18 +245,6 @@ void OcnModel::barotropic_step(double dt) {
                                                 : eta_[field_index(i + 1, j)]);
     return un * h_face * dy_m_[static_cast<std::size_t>(j)];
   };
-  // Zonal spacing for any local row, halo rows included: resolved through
-  // the global row (fold row beyond the top mirrors to the same latitude),
-  // so both ranks sharing a face use the identical face length and fluxes
-  // cancel pairwise to round-off.
-  auto dx_row = [&](int j) {
-    int gj = halo_->y0() + j;
-    if (gj < 0) gj = 0;
-    if (gj >= config_.grid.ny) gj = config_.grid.ny - 1;
-    const double coslat =
-        std::max(0.05, std::cos(grid_->lat_deg(gj) * kDegToRad));
-    return kEarthRadiusM * coslat * 2.0 * kPi / config_.grid.nx;
-  };
   auto face_flux_y = [&](int i, int j) {
     // Flux through the north face of (i, j) toward (i, j+1); positive north.
     if (kmt_local(i, j) == 0 || kmt_local(i, j + 1) == 0) return 0.0;
@@ -262,7 +253,7 @@ void OcnModel::barotropic_step(double dt) {
     const double h_face = depth_m_ + (vn >= 0.0 ? eta_[field_index(i, j)]
                                                 : eta_[field_index(i, j + 1)]);
     // Face length: zonal spacing at the shared latitude edge.
-    return vn * h_face * 0.5 * (dx_row(j) + dx_row(j + 1));
+    return vn * h_face * face_dx_north_[static_cast<std::size_t>(j + 1)];
   };
   for (int j = 0; j < nyl; ++j) {
     const bool south_closed = halo_->y0() + j == 0;
@@ -282,11 +273,13 @@ void OcnModel::barotropic_step(double dt) {
           dt * deta[static_cast<std::size_t>(j * nxl + i)];
 
   // Momentum with the *new* eta (forward–backward).
-  exchange_scalar(eta_);
+  halo_->exchange(eta_);
   for (int j = 0; j < nyl; ++j) {
     const double dx = dx_m_[static_cast<std::size_t>(j)];
     const double dy = dy_m_[static_cast<std::size_t>(j)];
-    const double f = coriolis_[static_cast<std::size_t>(j)];
+    // Coriolis as an exact rotation (unconditionally stable).
+    const double angle = coriolis_[static_cast<std::size_t>(j)] * dt;
+    const double cosa = std::cos(angle), sina = std::sin(angle);
     for (int i = 0; i < nxl; ++i) {
       if (kmt_local(i, j) == 0) continue;
       const std::size_t c = field_index(i, j);
@@ -300,25 +293,15 @@ void OcnModel::barotropic_step(double dt) {
       const double eta_s = (halo_->y0() + j > 0 && kmt_local(i, j - 1) > 0)
                                ? eta_[field_index(i, j - 1)]
                                : eta_c;
-      const std::size_t col =
-          static_cast<std::size_t>(std::lower_bound(ocean_gids_.begin(),
-                                                    ocean_gids_.end(),
-                                                    static_cast<std::int64_t>(
-                                                        halo_->y0() + j) *
-                                                            config_.grid.nx +
-                                                        halo_->x0() + i) -
-                                   ocean_gids_.begin());
+      const std::size_t col = column_of_[c];
       double du = dt * (-kGravity * (eta_e - eta_w) / (2.0 * dx) -
                         config_.drag_per_second * ubar_[c] +
                         taux_[col] / (kRhoSeawater * depth_m_));
       double dv = dt * (-kGravity * (eta_n - eta_s) / (2.0 * dy) -
                         config_.drag_per_second * vbar_[c] +
                         tauy_[col] / (kRhoSeawater * depth_m_));
-      // Coriolis as an exact rotation (unconditionally stable).
       const double u_star = ubar_[c] + du;
       const double v_star = vbar_[c] + dv;
-      const double angle = f * dt;
-      const double cosa = std::cos(angle), sina = std::sin(angle);
       ubar_[c] = cosa * u_star + sina * v_star;
       vbar_[c] = -sina * u_star + cosa * v_star;
     }
@@ -326,21 +309,18 @@ void OcnModel::barotropic_step(double dt) {
 }
 
 void OcnModel::baroclinic_step(double dt) {
-  const int nxl = halo_->nx_local();
-  const int nyl = halo_->ny_local();
-  const int nz = config_.grid.nz;
+  // Coriolis rotation per row, shared by every column of the row.
+  const auto nyl = static_cast<std::size_t>(halo_->ny_local());
+  std::vector<double> row_cos(nyl), row_sin(nyl);
+  for (std::size_t j = 0; j < nyl; ++j) {
+    const double angle = coriolis_[j] * dt;
+    row_cos[j] = std::cos(angle);
+    row_sin[j] = std::sin(angle);
+  }
 
   for_each_column([&](int i, int j, int kmt) {
     const std::size_t c = field_index(i, j);
-    const double f = coriolis_[static_cast<std::size_t>(j)];
-    const std::size_t col =
-        static_cast<std::size_t>(std::lower_bound(ocean_gids_.begin(),
-                                                  ocean_gids_.end(),
-                                                  static_cast<std::int64_t>(
-                                                      halo_->y0() + j) *
-                                                          config_.grid.nx +
-                                                      halo_->x0() + i) -
-                                 ocean_gids_.begin());
+    const std::size_t col = column_of_[c];
     // Wind stress accelerates the top layer; bottom drag the lowest.
     u_[0][c] += dt * taux_[col] /
                 (kRhoSeawater * dz_layer_[0]);
@@ -352,8 +332,8 @@ void OcnModel::baroclinic_step(double dt) {
     // Coriolis rotation per level, then barotropic-mean replacement: the
     // classic split correction keeping the column mean consistent with the
     // barotropic solver.
-    const double angle = f * dt;
-    const double cosa = std::cos(angle), sina = std::sin(angle);
+    const double cosa = row_cos[static_cast<std::size_t>(j)];
+    const double sina = row_sin[static_cast<std::size_t>(j)];
     double mean_u = 0.0, mean_v = 0.0, depth = 0.0;
     for (int k = 0; k < kmt; ++k) {
       const auto ks = static_cast<std::size_t>(k);
@@ -371,10 +351,7 @@ void OcnModel::baroclinic_step(double dt) {
       u_[ks][c] += ubar_[c] - mean_u;
       v_[ks][c] += vbar_[c] - mean_v;
     }
-    (void)nz;
   });
-  (void)nxl;
-  (void)nyl;
 }
 
 void OcnModel::vertical_mixing(double dt) {
@@ -421,11 +398,15 @@ void OcnModel::tracer_step(double dt) {
   const int nyl = halo_->ny_local();
   const int nz = config_.grid.nz;
 
+  // Level k's update reads only level-k ghosts and writes only level k's
+  // interior, so one exchange of every level up front fills the same ghosts
+  // a per-level exchange would.
+  halo_->exchange(levels_of({&temp_, &salt_, &u_, &v_}));
+  for (auto& level : u_) halo_->flip_fold_vector(level);
+  for (auto& level : v_) halo_->flip_fold_vector(level);
+
   for (int k = 0; k < nz; ++k) {
     const auto ks = static_cast<std::size_t>(k);
-    exchange_scalar(temp_[ks]);
-    exchange_scalar(salt_[ks]);
-    exchange_vector(u_[ks], v_[ks]);
 
     // Shared scalar update for one cell — the reference bits. The packed
     // launch below uses it for boundary/land tiles and reproduces it
@@ -925,9 +906,10 @@ std::vector<double> OcnModel::surface_rossby_number() const {
 
 double OcnModel::local_active_fraction() const {
   long long active = 0;
-  for (int value : kmt_local_) active += value;
-  const long long total = static_cast<long long>(kmt_local_.size()) *
-                          config_.grid.nz;
+  for (int j = 0; j < ny_local(); ++j)
+    for (int i = 0; i < nx_local(); ++i) active += kmt_local(i, j);
+  const long long total =
+      static_cast<long long>(nx_local()) * ny_local() * config_.grid.nz;
   return total == 0 ? 0.0 : static_cast<double>(active) /
                                 static_cast<double>(total);
 }

@@ -58,8 +58,13 @@ class OcnModel : public balance::Rebalanceable {
   int x0() const { return halo_->x0(); }
   int y0() const { return halo_->y0(); }
   std::size_t field_index(int i, int j) const { return halo_->halo_index(i, j); }
-  bool is_ocean_local(int i, int j, int k = 0) const;
-  int kmt_local(int i, int j) const;
+  /// Wet-level queries for interior cells and their 1-deep ghost ring
+  /// (-1 <= i <= nx_local, -1 <= j <= ny_local): ghosts resolve through the
+  /// global grid with east/west wrap, the closed south edge and the fold.
+  bool is_ocean_local(int i, int j, int k = 0) const {
+    return k < kmt_local(i, j);
+  }
+  int kmt_local(int i, int j) const { return kmt_halo_[field_index(i, j)]; }
   /// Owned ocean-surface global ids in export order.
   const std::vector<std::int64_t>& ocean_gids() const { return ocean_gids_; }
   const grid::BlockPartition2D& partition() const { return partition_; }
@@ -160,9 +165,6 @@ class OcnModel : public balance::Rebalanceable {
   void tracer_step(double dt);
   void vertical_mixing(double dt);
   void apply_surface_forcing(double dt);
-  void exchange_scalar(std::vector<double>& field) const;
-  void exchange_vector(std::vector<double>& u_field,
-                       std::vector<double>& v_field) const;
   void apply_mixed_precision();
 
   /// Column visitor: full-grid scan or compact active list (§5.2.2).
@@ -183,7 +185,12 @@ class OcnModel : public balance::Rebalanceable {
   std::vector<double> dy_m_;   ///< per local row (constant here)
   std::vector<double> coriolis_;
   std::vector<double> area_m2_;
-  std::vector<int> kmt_local_;             ///< (nyl × nxl), no halo
+  /// North-face length 0.5·(dx(j)+dx(j+1)) for local rows j = -1 … nyl-1,
+  /// stored at j+1; halo rows resolve through the global row.
+  std::vector<double> face_dx_north_;
+  std::vector<int> kmt_halo_;              ///< halo layout, ghosts included
+  /// Halo-layout cell → position in ocean_gids_ (valid on wet interior cells).
+  std::vector<std::size_t> column_of_;
   std::vector<double> dz_center_;          ///< distance between level centers
   std::vector<double> dz_layer_;           ///< layer thicknesses
   std::vector<std::pair<int, int>> active_columns_;  ///< compact list

@@ -28,8 +28,11 @@ SANITIZERS="${SANITIZERS:-thread address undefined}"
 # the overread witness; packed launches run on the threaded backends too), and
 # the hierarchical collectives (leader staging buffers under fault injection),
 # and the property sweeps (coupled fault fuzz plus the ghost-aware cut
-# planner's fuzz tuples alongside test_balance's migration paths).
-FILTER="${1:-test_par|test_io|test_fault|test_mct|test_restart|test_obs|test_async|test_ai|test_balance|test_fleet|test_pack|test_hier|test_properties}"
+# planner's fuzz tuples alongside test_balance's migration paths), and the
+# block-halo users (batched exchanges share one staging buffer per call and
+# index ghost rings through hoisted halo-layout tables: test_grid, test_ocn,
+# test_ice).
+FILTER="${1:-test_par|test_io|test_fault|test_mct|test_restart|test_obs|test_async|test_ai|test_balance|test_fleet|test_pack|test_hier|test_properties|test_grid|test_ocn|test_ice}"
 JOBS="${JOBS:-$(nproc)}"
 
 for sanitizer in ${SANITIZERS}; do

@@ -113,7 +113,8 @@ TEST(Ice, ParallelMatchesSerialFraction) {
   par::run(4, [&](par::Comm& comm) {
     IceModel model(comm, config);
     model.run(0.0, 86400.0);
-    parallel_frac = model.ice_area_fraction();
+    const double frac = model.ice_area_fraction();  // collective
+    if (comm.rank() == 0) parallel_frac = frac;
   });
   EXPECT_NEAR(serial_frac, parallel_frac, 1e-12);
 }

@@ -5,7 +5,9 @@
 // contract.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "base/constants.hpp"
 #include "base/stats.hpp"
@@ -255,6 +257,83 @@ TEST(Ocn, MixedPrecisionWithinLicomRmsdBand) {
   const double rmsd = stats::weighted_rmsd(mixed, fp64, area);
   EXPECT_GT(rmsd, 0.0);      // mixed precision actually engaged
   EXPECT_LT(rmsd, 0.018);    // within the paper's reported band
+}
+
+TEST(Ocn, HaloMessagesPerBaroclinicStepAreBatched) {
+  // Per baroclinic step each rank makes two batched exchanges per
+  // barotropic substep (eta/ubar/vbar, then eta) and one carrying every
+  // tracer-step level. At 2 ranks each exchange is 3 messages per rank:
+  // west, east, and one south/north or fold peer. Per-field exchanges would
+  // multiply the count.
+  const OcnConfig config = small_config();
+  par::run(2, [&](par::Comm& comm) {
+    OcnModel model(comm, config);
+    comm.barrier();
+    const std::uint64_t before = comm.world().traffic().messages;
+    comm.barrier();
+    model.run(0.0, config.baroclinic_dt_seconds());
+    comm.barrier();
+    const std::uint64_t sent = comm.world().traffic().messages - before;
+    const auto per_rank =
+        static_cast<std::uint64_t>(3 * (2 * config.barotropic_substeps + 1));
+    EXPECT_EQ(sent, 2 * per_rank);
+  });
+}
+
+TEST(Ocn, FoldCornerGhostsStayUntouched) {
+  // The halo never fills the corner ghosts, so the fold-sign flip must not
+  // touch them either: after a step (odd number of flips per level) the
+  // checkpointed u/v corners still hold their initial +0.0, bit for bit.
+  const OcnConfig config = small_config();
+  par::run(2, [&](par::Comm& comm) {
+    OcnModel model(comm, config);
+    mct::AttrVect x2o(OcnModel::import_fields(), model.ocean_gids().size());
+    for (auto& t : x2o.field("taux")) t = 0.1;
+    model.import_state(x2o);
+    model.run(0.0, config.baroclinic_dt_seconds());
+    if (model.y0() + model.ny_local() != config.grid.ny) return;
+    const std::size_t slots = static_cast<std::size_t>(
+        (model.nx_local() + 2) * (model.ny_local() + 2));
+    for (const io::Section& section : model.checkpoint_sections()) {
+      if (section.name != "ocn.u" && section.name != "ocn.v") continue;
+      for (int k = 0; k < config.grid.nz; ++k)
+        for (int i : {-1, model.nx_local()}) {
+          const double corner =
+              section.data.values[static_cast<std::size_t>(k) * slots +
+                                  model.field_index(i, model.ny_local())];
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(corner), 0u)
+              << section.name << " level " << k << " corner i=" << i;
+        }
+    }
+  });
+}
+
+TEST(Ocn, ColumnStateHashMatchesRecordedTrajectory) {
+  // Golden value recorded with per-field halo exchanges and per-cell column
+  // lookups: batching and hoisting must not move a bit, at any rank count.
+  constexpr std::uint64_t kRecorded = 17586619503789773221ULL;
+  const OcnConfig config = small_config();
+  for (int nranks : {1, 2, 4}) {
+    par::run(nranks, [&](par::Comm& comm) {
+      OcnModel model(comm, config);
+      mct::AttrVect x2o(OcnModel::import_fields(), model.ocean_gids().size());
+      auto taux = x2o.field("taux");
+      auto tauy = x2o.field("tauy");
+      auto qnet = x2o.field("qnet");
+      for (std::size_t c = 0; c < model.ocean_gids().size(); ++c) {
+        const double g = static_cast<double>(model.ocean_gids()[c]);
+        taux[c] = 0.15 * std::sin(0.37 * g);
+        tauy[c] = 0.05 * std::cos(0.11 * g);
+        qnet[c] = 80.0 * std::sin(0.05 * g);
+      }
+      model.import_state(x2o);
+      model.run(0.0, config.baroclinic_dt_seconds() * 3);
+      EXPECT_GT(model.max_current(), 0.0);
+      const std::uint64_t hash =
+          comm.allreduce_value(model.column_state_hash(), par::ReduceOp::kSum);
+      EXPECT_EQ(hash, kRecorded) << nranks << " ranks";
+    });
+  }
 }
 
 TEST(Ocn, ExportImportContract) {

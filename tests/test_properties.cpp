@@ -308,12 +308,98 @@ TEST_P(HaloProperty, GhostsMatchGlobalOracle) {
   });
 }
 
+// A mixed batch (two scalars and a u/v pair) on uneven explicit cuts with
+// the fold on: every ghost edge matches the oracle (vector components change
+// sign across the fold), the never-exchanged corners stay untouched, and the
+// result is bitwise the same as exchanging the fields one at a time. px = 1
+// has west == east == self, px = 2 has west == east.
+TEST_P(HaloProperty, UnevenBatchMatchesOracleAndSingleFieldExchanges) {
+  const HaloCase param = GetParam();
+  auto uneven = [](int n, int parts) {
+    std::vector<double> weights(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+      weights[static_cast<size_t>(i)] = 1.0 + static_cast<double>(i * i);
+    return grid::weighted_cuts(weights, parts, /*nonempty=*/true);
+  };
+  const grid::BlockCuts cuts{uneven(param.nx, param.px),
+                             uneven(param.ny, param.py)};
+  par::run(param.px * param.py, [&](par::Comm& comm) {
+    grid::BlockHalo halo(comm, param.nx, param.ny, cuts, true);
+    constexpr int kFields = 4;  // scalar, scalar, u, v
+    auto is_vector = [](int f) { return f >= 2; };
+    constexpr double kCorner = -7.5;
+    auto value_of = [](int f, int gi, int gj) {
+      return 1e6 * (f + 1) + 1000.0 * gj + gi + 0.25;
+    };
+    std::vector<std::vector<double>> batched(
+        kFields,
+        std::vector<double>(static_cast<size_t>((halo.nx_local() + 2) *
+                                                (halo.ny_local() + 2)),
+                            kCorner));
+    for (int f = 0; f < kFields; ++f)
+      for (int j = 0; j < halo.ny_local(); ++j)
+        for (int i = 0; i < halo.nx_local(); ++i)
+          batched[static_cast<size_t>(f)][halo.halo_index(i, j)] =
+              value_of(f, halo.x0() + i, halo.y0() + j);
+    std::vector<std::vector<double>> single = batched;
+
+    std::vector<std::vector<double>*> batch;
+    for (auto& field : batched) batch.push_back(&field);
+    halo.exchange(batch);
+    for (int f = 0; f < kFields; ++f) {
+      auto& one = single[static_cast<size_t>(f)];
+      halo.exchange(one);
+      if (is_vector(f)) {
+        halo.flip_fold_vector(batched[static_cast<size_t>(f)]);
+        halo.flip_fold_vector(one);
+      }
+    }
+
+    // Oracle: periodic x; closed south (zero-gradient); north fold, where
+    // vector components change sign.
+    auto oracle = [&](int f, int gi, int gj) {
+      gi = (gi % param.nx + param.nx) % param.nx;
+      if (gj < 0) gj = 0;
+      if (gj >= param.ny) {
+        const double mirrored = value_of(f, param.nx - 1 - gi, param.ny - 1);
+        return is_vector(f) ? -mirrored : mirrored;
+      }
+      return value_of(f, gi, gj);
+    };
+    const int nxl = halo.nx_local(), nyl = halo.ny_local();
+    for (int f = 0; f < kFields; ++f) {
+      const auto& field = batched[static_cast<size_t>(f)];
+      for (int j = 0; j < nyl; ++j) {
+        EXPECT_EQ(field[halo.halo_index(-1, j)],
+                  oracle(f, halo.x0() - 1, halo.y0() + j));
+        EXPECT_EQ(field[halo.halo_index(nxl, j)],
+                  oracle(f, halo.x0() + nxl, halo.y0() + j));
+      }
+      for (int i = 0; i < nxl; ++i) {
+        EXPECT_EQ(field[halo.halo_index(i, -1)],
+                  oracle(f, halo.x0() + i, halo.y0() - 1));
+        EXPECT_EQ(field[halo.halo_index(i, nyl)],
+                  oracle(f, halo.x0() + i, halo.y0() + nyl));
+      }
+      for (const auto& [i, j] : {std::pair{-1, -1}, std::pair{nxl, -1},
+                                 std::pair{-1, nyl}, std::pair{nxl, nyl}})
+        EXPECT_EQ(field[halo.halo_index(i, j)], kCorner) << "corner " << i
+                                                         << "," << j;
+      const auto& one = single[static_cast<size_t>(f)];
+      for (size_t c = 0; c < field.size(); ++c)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(field[c]),
+                  std::bit_cast<std::uint64_t>(one[c]))
+            << "field " << f << " slot " << c;
+    }
+  });
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, HaloProperty,
     ::testing::Values(HaloCase{16, 8, 1, 1}, HaloCase{16, 8, 2, 1},
                       HaloCase{16, 8, 1, 2}, HaloCase{16, 8, 2, 2},
                       HaloCase{16, 8, 4, 2}, HaloCase{24, 12, 3, 2},
-                      HaloCase{18, 10, 2, 3}),
+                      HaloCase{18, 10, 2, 3}, HaloCase{24, 12, 3, 1}),
     [](const auto& info) {
       return std::to_string(info.param.nx) + "x" + std::to_string(info.param.ny) +
              "_p" + std::to_string(info.param.px) + "x" +
