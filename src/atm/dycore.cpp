@@ -137,11 +137,23 @@ LocalMesh::LocalMesh(const par::Comm& comm, const grid::IcosahedralGrid& mesh) {
   halo_ = std::make_unique<grid::GraphHalo>(comm, owned_list, ghost_ids_, owner);
 }
 
-void LocalMesh::exchange(std::vector<double>& slot_field) const {
-  AP3_REQUIRE(slot_field.size() == num_slots());
-  std::span<const double> owned(slot_field.data(), num_owned_);
-  std::span<double> ghosts(slot_field.data() + num_owned_, num_ghosts());
-  halo_->exchange(owned, ghosts);
+grid::GraphHalo::Field LocalMesh::slot_field(std::vector<double>& field,
+                                             std::size_t width) const {
+  AP3_REQUIRE(field.size() == num_slots() * width);
+  const std::size_t owned = num_owned_ * width;
+  return {std::span<const double>(field.data(), owned),
+          std::span<double>(field.data() + owned, field.size() - owned),
+          width};
+}
+
+void LocalMesh::exchange(
+    std::span<const grid::GraphHalo::Field> fields) const {
+  halo_->exchange(fields);
+}
+
+void LocalMesh::exchange(std::vector<double>& field) const {
+  const grid::GraphHalo::Field one[] = {slot_field(field)};
+  halo_->exchange(one);
 }
 
 Dycore::Dycore(const par::Comm& comm, const AtmConfig& config,
@@ -156,6 +168,7 @@ Dycore::Dycore(const par::Comm& comm, const AtmConfig& config,
   state_.temp.assign(slots * state_.nlev, 0.0);
   state_.q.assign(slots * state_.nlev, 0.0);
   h_flux_div_.assign(local_.num_owned(), 0.0);
+  tracer_ghosts_.assign(2 * local_.num_ghosts() * state_.nlev, 0.0);
 
   // Climatological initial columns: warm surface, cold top, humid boundary
   // layer, latitude dependence.
@@ -176,10 +189,10 @@ Dycore::Dycore(const par::Comm& comm, const AtmConfig& config,
 }
 
 void Dycore::exchange_dynamic_fields() {
-  local_.exchange(state_.h);
-  local_.exchange(state_.vx);
-  local_.exchange(state_.vy);
-  local_.exchange(state_.vz);
+  const grid::GraphHalo::Field fields[] = {
+      local_.slot_field(state_.h), local_.slot_field(state_.vx),
+      local_.slot_field(state_.vy), local_.slot_field(state_.vz)};
+  local_.exchange(fields);
 }
 
 void Dycore::perturb_temperature(std::uint64_t seed, double amplitude_k) {
@@ -198,15 +211,10 @@ void Dycore::perturb_temperature(std::uint64_t seed, double amplitude_k) {
       state_.temp[state_.tq(c, k)] += amplitude_k * (2.0 * u - 1.0);
     }
   }
-  // Refresh tracer ghosts level by level (same idiom as step_tracers).
-  std::vector<double> level(local_.num_slots());
-  for (std::size_t k = 0; k < state_.nlev; ++k) {
-    for (std::size_t s = 0; s < local_.num_slots(); ++s)
-      level[s] = state_.temp[state_.tq(s, k)];
-    local_.exchange(level);
-    for (std::size_t s = 0; s < local_.num_slots(); ++s)
-      state_.temp[state_.tq(s, k)] = level[s];
-  }
+  // Refresh the temperature ghost slots: every level in one exchange.
+  const grid::GraphHalo::Field temp[] = {
+      local_.slot_field(state_.temp, state_.nlev)};
+  local_.exchange(temp);
 }
 
 void Dycore::apply_mixed_precision() {
@@ -294,41 +302,73 @@ void Dycore::step_dynamics(double dt) {
 void Dycore::step_tracers(double dt) {
   const std::size_t n = local_.num_owned();
   const std::size_t nlev = state_.nlev;
-  local_.exchange(state_.vx);
-  local_.exchange(state_.vy);
-  local_.exchange(state_.vz);
+  const std::size_t owned_len = n * nlev;
+  const std::size_t ghost_len = local_.num_ghosts() * nlev;
 
-  // Per-level upwind advection; level fields are strided views into the
-  // packed (slot, lev) arrays, exchanged level by level.
-  std::vector<double> level(local_.num_slots());
-  std::vector<double> tendency(n);
+  // One exchange for the winds and every level of both tracers. Tracer ghosts
+  // land in scratch: checkpoints and state hashes cover the state's temp/q
+  // ghost slots, and a tracer step leaves them as they are.
+  double* const temp_ghosts = tracer_ghosts_.data();
+  double* const q_ghosts = tracer_ghosts_.data() + ghost_len;
+  const grid::GraphHalo::Field fields[] = {
+      local_.slot_field(state_.vx),
+      local_.slot_field(state_.vy),
+      local_.slot_field(state_.vz),
+      {std::span<const double>(state_.temp.data(), owned_len),
+       std::span<double>(temp_ghosts, ghost_len), nlev},
+      {std::span<const double>(state_.q.data(), owned_len),
+       std::span<double>(q_ghosts, ghost_len), nlev}};
+  local_.exchange(fields);
+
+  // Face-normal velocity (average of the two cells), shared by every level
+  // of both tracers.
+  std::vector<std::array<double, 3>> face_vn(n);
+  for (std::size_t c = 0; c < n; ++c) {
+    const auto& nbs = local_.neighbors(c);
+    for (std::size_t f = 0; f < 3; ++f) {
+      const LocalMesh::Neighbor& nb = nbs[f];
+      face_vn[c][f] =
+          0.5 * ((state_.vx[c] + state_.vx[nb.slot]) * nb.out_normal[0] +
+                 (state_.vy[c] + state_.vy[nb.slot]) * nb.out_normal[1] +
+                 (state_.vz[c] + state_.vz[nb.slot]) * nb.out_normal[2]);
+    }
+  }
+
+  // Upwind advection, cell-outer and level-inner over the contiguous
+  // (slot, lev) columns. Each (c, k) sums its faces in the same order as a
+  // per-level sweep, and the update waits until every tendency is computed,
+  // so levels and cells only ever read old values.
+  std::vector<double> tendency(owned_len);
   for (int tracer = 0; tracer < 2; ++tracer) {
     std::vector<double>& field = tracer == 0 ? state_.temp : state_.q;
-    for (std::size_t k = 0; k < nlev; ++k) {
-      for (std::size_t s = 0; s < local_.num_slots(); ++s)
-        level[s] = field[state_.tq(s, k)];
-      local_.exchange(level);
-      auto tracer_body = [&](std::size_t c) {
-        double flux = 0.0;
-        for (const LocalMesh::Neighbor& nb : local_.neighbors(c)) {
-          const double vn =
-              0.5 * ((state_.vx[c] + state_.vx[nb.slot]) * nb.out_normal[0] +
-                     (state_.vy[c] + state_.vy[nb.slot]) * nb.out_normal[1] +
-                     (state_.vz[c] + state_.vz[nb.slot]) * nb.out_normal[2]);
-          const double phi_face = vn >= 0.0 ? level[c] : level[nb.slot];
+    const double* const ghosts = tracer == 0 ? temp_ghosts : q_ghosts;
+    auto tracer_body = [&](std::size_t c) {
+      const double* phi = field.data() + c * nlev;
+      double* flux = tendency.data() + c * nlev;
+      std::fill(flux, flux + nlev, 0.0);
+      const auto& nbs = local_.neighbors(c);
+      for (std::size_t f = 0; f < 3; ++f) {
+        const LocalMesh::Neighbor& nb = nbs[f];
+        const double vn = face_vn[c][f];
+        const double* phi_nb = nb.slot < n ? field.data() + nb.slot * nlev
+                                           : ghosts + (nb.slot - n) * nlev;
+        // Upwind side per face, the same for every level.
+        const double* phi_face = vn >= 0.0 ? phi : phi_nb;
+        const double len = nb.edge_len_m;
+        for (std::size_t k = 0; k < nlev; ++k) {
           // Advective form: vn · (phi_face − phi_c) keeps constants exact.
-          flux += vn * (phi_face - level[c]) * nb.edge_len_m;
+          flux[k] += vn * (phi_face[k] - phi[k]) * len;
         }
-        tendency[c] = -flux / local_.area_m2(c);
-      };
-      if (config_.use_swgomp) {
-        pp::swgomp::target_parallel_for("grist_tracer", n, tracer_body);
-      } else {
-        for (std::size_t c = 0; c < n; ++c) tracer_body(c);
       }
-      for (std::size_t c = 0; c < n; ++c)
-        field[state_.tq(c, k)] = level[c] + dt * tendency[c];
+      const double area = local_.area_m2(c);
+      for (std::size_t k = 0; k < nlev; ++k) flux[k] = -flux[k] / area;
+    };
+    if (config_.use_swgomp) {
+      pp::swgomp::target_parallel_for("grist_tracer", n, tracer_body);
+    } else {
+      for (std::size_t c = 0; c < n; ++c) tracer_body(c);
     }
+    for (std::size_t i = 0; i < owned_len; ++i) field[i] += dt * tendency[i];
   }
 }
 
@@ -336,18 +376,6 @@ double Dycore::total_mass() const {
   double local = 0.0;
   for (std::size_t c = 0; c < local_.num_owned(); ++c)
     local += state_.h[c] * local_.area_m2(c);
-  return comm_.allreduce_value(local, par::ReduceOp::kSum);
-}
-
-double Dycore::total_tracer(int which) const {
-  const std::vector<double>& field = which == 0 ? state_.temp : state_.q;
-  double local = 0.0;
-  for (std::size_t c = 0; c < local_.num_owned(); ++c) {
-    double column = 0.0;
-    for (std::size_t k = 0; k < state_.nlev; ++k)
-      column += field[state_.tq(c, k)];
-    local += column * local_.area_m2(c);
-  }
   return comm_.allreduce_value(local, par::ReduceOp::kSum);
 }
 

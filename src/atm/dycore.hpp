@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "atm/config.hpp"
@@ -63,8 +64,15 @@ class LocalMesh {
     return north_[owned];
   }
 
+  /// Halo view of a slot-indexed field with `width` values per slot: the
+  /// owned slots, then the ghost slots.
+  grid::GraphHalo::Field slot_field(std::vector<double>& field,
+                                    std::size_t width = 1) const;
+  /// Fill the ghosts of every field from neighbor ranks: one message per
+  /// peer for the whole batch.
+  void exchange(std::span<const grid::GraphHalo::Field> fields) const;
   /// Fill ghost slots of a slot-indexed field from neighbor ranks.
-  void exchange(std::vector<double>& slot_field) const;
+  void exchange(std::vector<double>& field) const;
 
  private:
   std::size_t num_owned_ = 0;
@@ -103,6 +111,8 @@ class Dycore {
   /// One dycore substep (forward–backward shallow water).
   void step_dynamics(double dt);
   /// One tracer substep (upwind advection of temp and q on every level).
+  /// Tracer ghosts are read from a Dycore-owned scratch buffer; the state's
+  /// temp/q ghost slots are left untouched.
   void step_tracers(double dt);
 
   /// Ensemble perturbation: add a deterministic pseudo-random temperature
@@ -113,7 +123,6 @@ class Dycore {
 
   /// Global invariants (collective).
   double total_mass() const;              ///< Σ h·A
-  double total_tracer(int which) const;   ///< Σ tracer·h·A (0=temp, 1=q)
   double max_wind() const;                ///< max |V| across ranks
   double max_h_deviation() const;         ///< max |h − H0|
 
@@ -137,6 +146,8 @@ class Dycore {
   LocalMesh local_;
   DycoreState state_;
   std::vector<double> h_flux_div_;  // scratch
+  // Tracer ghosts of step_tracers: temp then q, (ghost, lev) each.
+  std::vector<double> tracer_ghosts_;
 };
 
 }  // namespace ap3::atm

@@ -14,6 +14,17 @@ constexpr int kTagSouth = 9103;
 constexpr int kTagNorth = 9104;
 constexpr int kTagFold = 9105;
 constexpr int kTagGraph = 9106;
+
+// Copies one id's `width` values and returns the end of the destination.
+// Width 1 is the common case; a plain store there avoids a memmove call per
+// id.
+double* copy_values(const double* src, std::size_t width, double* dst) {
+  if (width == 1) {
+    *dst = *src;
+    return dst + 1;
+  }
+  return std::copy(src, src + width, dst);
+}
 }  // namespace
 
 namespace {
@@ -257,31 +268,45 @@ GraphHalo::GraphHalo(const par::Comm& comm, std::vector<std::int64_t> owned,
   }
 }
 
-void GraphHalo::exchange(std::span<const double> owned_values,
-                         std::span<double> ghost_values) const {
-  AP3_REQUIRE(owned_values.size() == owned_.size());
-  AP3_REQUIRE(ghost_values.size() == ghosts_.size());
+void GraphHalo::exchange(std::span<const Field> fields) const {
+  std::size_t width_sum = 0;
+  for (const Field& field : fields) {
+    AP3_REQUIRE(field.owned.size() == owned_.size() * field.width);
+    AP3_REQUIRE(field.ghosts.size() == ghosts_.size() * field.width);
+    width_sum += field.width;
+  }
+  if (width_sum == 0) return;
   // One payload buffer per call, sized for the larger direction; sends are
-  // eager, so the receive phase reuses it.
+  // eager, so the receive phase reuses it. A peer's message is field-major:
+  // field f's values for that peer's plan-ordered ids, `width` per id.
   std::vector<double> payload(
-      std::max(send_plan_.index.size(), recv_plan_.index.size()));
+      width_sum * std::max(send_plan_.index.size(), recv_plan_.index.size()));
   for (std::size_t n = 0; n < send_plan_.peers.size(); ++n) {
     const std::size_t begin = send_plan_.offsets[n];
     const std::size_t end = send_plan_.offsets[n + 1];
-    for (std::size_t k = begin; k < end; ++k)
-      payload[k - begin] = owned_values[send_plan_.index[k]];
-    comm_.send(std::span<const double>(payload.data(), end - begin),
+    double* out = payload.data();
+    for (const Field& field : fields)
+      for (std::size_t k = begin; k < end; ++k)
+        out = copy_values(
+            field.owned.data() + send_plan_.index[k] * field.width,
+            field.width, out);
+    comm_.send(std::span<const double>(payload.data(), out),
                send_plan_.peers[n], kTagGraph);
   }
   for (std::size_t n = 0; n < recv_plan_.peers.size(); ++n) {
     const std::size_t begin = recv_plan_.offsets[n];
     const std::size_t end = recv_plan_.offsets[n + 1];
-    const std::size_t got = comm_.recv(
-        std::span<double>(payload.data(), end - begin), recv_plan_.peers[n],
-        kTagGraph);
-    AP3_REQUIRE(got == end - begin);
-    for (std::size_t k = begin; k < end; ++k)
-      ghost_values[recv_plan_.index[k]] = payload[k - begin];
+    const std::size_t len = width_sum * (end - begin);
+    const std::size_t got = comm_.recv(std::span<double>(payload.data(), len),
+                                       recv_plan_.peers[n], kTagGraph);
+    AP3_REQUIRE(got == len);
+    const double* in = payload.data();
+    for (const Field& field : fields)
+      for (std::size_t k = begin; k < end; ++k) {
+        copy_values(in, field.width,
+                    field.ghosts.data() + recv_plan_.index[k] * field.width);
+        in += field.width;
+      }
   }
 }
 

@@ -96,10 +96,27 @@ class GraphHalo {
   std::size_t num_ghosts() const { return ghosts_.size(); }
   const std::vector<std::int64_t>& ghost_ids() const { return ghosts_; }
 
-  /// Gathers owned values (ordered like the `owned` constructor list) into
-  /// ghost values (ordered like `ghost_ids()`).
+  /// One field of a batched exchange: `width` values per id, id-major, so
+  /// `owned` holds num_owned()·width values (ordered like the `owned`
+  /// constructor list) and `ghosts` num_ghosts()·width (ordered like
+  /// `ghost_ids()`).
+  struct Field {
+    std::span<const double> owned;
+    std::span<double> ghosts;
+    std::size_t width = 1;
+  };
+
+  /// Gathers every field's owned values into its ghost values. One message
+  /// per peer, in ascending peer order, carries all fields field-major (each
+  /// field's plan-ordered ids in turn), so the message count does not grow
+  /// with the batch; the ghost values are identical to exchanging the fields
+  /// one at a time.
+  void exchange(std::span<const Field> fields) const;
   void exchange(std::span<const double> owned_values,
-                std::span<double> ghost_values) const;
+                std::span<double> ghost_values) const {
+    const Field one[] = {{owned_values, ghost_values, 1}};
+    exchange(one);
+  }
 
  private:
   /// Compressed per-peer index lists: peers[n] owns

@@ -31,8 +31,10 @@ SANITIZERS="${SANITIZERS:-thread address undefined}"
 # planner's fuzz tuples alongside test_balance's migration paths), and the
 # block-halo users (batched exchanges share one staging buffer per call and
 # index ghost rings through hoisted halo-layout tables: test_grid, test_ocn,
-# test_ice).
-FILTER="${1:-test_par|test_io|test_fault|test_mct|test_restart|test_obs|test_async|test_ai|test_balance|test_fleet|test_pack|test_hier|test_properties|test_grid|test_ocn|test_ice}"
+# test_ice), and the atmosphere (batched GraphHalo calls with width-nlev
+# payloads, and the fused tracer kernel indexing a ghost-only scratch buffer:
+# test_atm).
+FILTER="${1:-test_par|test_io|test_fault|test_mct|test_restart|test_obs|test_async|test_ai|test_balance|test_fleet|test_pack|test_hier|test_properties|test_grid|test_ocn|test_ice|test_atm}"
 JOBS="${JOBS:-$(nproc)}"
 
 for sanitizer in ${SANITIZERS}; do

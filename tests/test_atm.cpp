@@ -5,14 +5,19 @@
 // export/import contract.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <utility>
 
 #include "atm/model.hpp"
 #include "pp/swgomp.hpp"
 #include "atm/physics.hpp"
 #include "atm/vortex.hpp"
 #include "base/constants.hpp"
+#include "base/hash.hpp"
 #include "obs/obs.hpp"
 #include "par/comm.hpp"
 
@@ -107,34 +112,52 @@ TEST(Dycore, GravityWaveStaysStableAndBounded) {
 
 TEST(Dycore, SerialAndParallelBitwiseIdentical) {
   // Bit-for-bit validation across decompositions — the paper's correctness
-  // criterion for the coupled engineering work.
+  // criterion for the coupled engineering work. Tracers ride the same winds,
+  // so their owned values must match by global id too.
   const AtmConfig config = small_config();
-  std::vector<double> h_serial, h_par;
-  par::run(1, [&](par::Comm& comm) {
-    grid::IcosahedralGrid mesh(config.mesh_n);
-    Dycore dycore(comm, config, mesh);
-    seed_vortex(dycore, VortexSpec{});
-    for (int i = 0; i < 10; ++i) dycore.step_dynamics(config.dycore_dt_seconds());
-    h_serial.assign(dycore.state().h.begin(),
-                    dycore.state().h.begin() +
-                        static_cast<std::ptrdiff_t>(dycore.mesh().num_owned()));
-  });
-  static std::vector<double> collected;
+  const std::size_t ncells = 20 * 6 * 6;
+  const std::size_t nlev = static_cast<std::size_t>(config.nlev);
+  static std::vector<double> h, temp, q;
   static std::mutex mutex;
-  collected.assign(20 * 6 * 6, 0.0);
-  par::run(3, [&](par::Comm& comm) {
-    grid::IcosahedralGrid mesh(config.mesh_n);
-    Dycore dycore(comm, config, mesh);
-    seed_vortex(dycore, VortexSpec{});
-    for (int i = 0; i < 10; ++i) dycore.step_dynamics(config.dycore_dt_seconds());
-    std::lock_guard<std::mutex> lock(mutex);
-    for (std::size_t c = 0; c < dycore.mesh().num_owned(); ++c)
-      collected[static_cast<std::size_t>(dycore.mesh().global_id(c))] =
-          dycore.state().h[c];
-  });
-  ASSERT_EQ(h_serial.size(), collected.size());
-  for (std::size_t c = 0; c < h_serial.size(); ++c)
-    EXPECT_EQ(h_serial[c], collected[c]) << "cell " << c;
+  auto run_case = [&](int nranks) {
+    h.assign(ncells, 0.0);
+    temp.assign(ncells * nlev, 0.0);
+    q.assign(ncells * nlev, 0.0);
+    par::run(nranks, [&](par::Comm& comm) {
+      grid::IcosahedralGrid mesh(config.mesh_n);
+      Dycore dycore(comm, config, mesh);
+      seed_vortex(dycore, VortexSpec{});
+      const std::vector<double> temp0 = dycore.state().temp;
+      for (int i = 0; i < 10; ++i) {
+        dycore.step_dynamics(config.dycore_dt_seconds());
+        if (i % 3 == 2) dycore.step_tracers(config.tracer_dt_seconds());
+      }
+      const DycoreState& state = dycore.state();
+      // The vortex winds really advect the tracers on every rank.
+      std::size_t moved = 0;
+      for (std::size_t i = 0; i < dycore.mesh().num_owned() * nlev; ++i)
+        moved += state.temp[i] != temp0[i];
+      EXPECT_GT(moved, 0u);
+      std::lock_guard<std::mutex> lock(mutex);
+      for (std::size_t c = 0; c < dycore.mesh().num_owned(); ++c) {
+        const auto gid = static_cast<std::size_t>(dycore.mesh().global_id(c));
+        h[gid] = state.h[c];
+        for (std::size_t k = 0; k < nlev; ++k) {
+          temp[gid * nlev + k] = state.temp[state.tq(c, k)];
+          q[gid * nlev + k] = state.q[state.tq(c, k)];
+        }
+      }
+    });
+    return std::array<std::vector<double>, 3>{h, temp, q};
+  };
+  const auto serial = run_case(1);
+  const auto parallel = run_case(3);
+  const char* names[] = {"h", "temp", "q"};
+  for (std::size_t f = 0; f < 3; ++f) {
+    ASSERT_EQ(serial[f].size(), parallel[f].size());
+    for (std::size_t i = 0; i < serial[f].size(); ++i)
+      ASSERT_EQ(serial[f][i], parallel[f][i]) << names[f] << " index " << i;
+  }
 }
 
 TEST(Physics, ConventionalCondensesSupersaturation) {
@@ -397,10 +420,11 @@ TEST(Model, CosZenithDayNightCycle) {
 
 TEST(Dycore, SwgompOffloadBitwiseIdentical) {
   // §5.1.1: GRIST's conflict-free loops offloaded through the SWGOMP layer
-  // must be bitwise identical to the serial path, with regions counted.
+  // must be bitwise identical to the serial path, with regions counted. The
+  // tracer regions write only temp and q, so those are compared too.
   const AtmConfig base = small_config();
   auto run_case = [&](bool offload) {
-    static std::vector<double> h;
+    static DycoreState state;
     par::run(1, [&](par::Comm& comm) {
       AtmConfig config = base;
       config.use_swgomp = offload;
@@ -411,18 +435,118 @@ TEST(Dycore, SwgompOffloadBitwiseIdentical) {
         dycore.step_dynamics(config.dycore_dt_seconds());
         dycore.step_tracers(config.tracer_dt_seconds());
       }
-      h = dycore.state().h;
+      state = dycore.state();
     });
-    return h;
+    return state;
   };
   pp::swgomp::reset_stats();
-  const std::vector<double> serial = run_case(false);
+  const DycoreState serial = run_case(false);
   EXPECT_EQ(pp::swgomp::stats().regions, 0u);
-  const std::vector<double> offloaded = run_case(true);
+  const DycoreState offloaded = run_case(true);
   EXPECT_GT(pp::swgomp::stats().regions, 0u);  // regions really offloaded
-  ASSERT_EQ(serial.size(), offloaded.size());
-  for (std::size_t c = 0; c < serial.size(); ++c)
-    EXPECT_EQ(serial[c], offloaded[c]);
+  const std::pair<const char*, std::vector<double> DycoreState::*> fields[] = {
+      {"h", &DycoreState::h}, {"temp", &DycoreState::temp},
+      {"q", &DycoreState::q}};
+  for (const auto& [name, member] : fields) {
+    const std::vector<double>& a = serial.*member;
+    const std::vector<double>& b = offloaded.*member;
+    ASSERT_EQ(a.size(), b.size()) << name;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      ASSERT_EQ(a[i], b[i]) << name << " index " << i;
+  }
+}
+
+// Σ over owned cells of a hash of (global id, h, v, every temp/q level):
+// invariant to the decomposition, so one constant covers every rank count.
+std::uint64_t owned_state_hash(const Dycore& dycore) {
+  const DycoreState& state = dycore.state();
+  std::uint64_t local = 0;
+  for (std::size_t c = 0; c < dycore.mesh().num_owned(); ++c) {
+    std::uint64_t h = kFnvBasis;
+    h = fnv1a_value(h, dycore.mesh().global_id(c));
+    h = fnv1a_value(h, state.h[c]);
+    h = fnv1a_value(h, state.vx[c]);
+    h = fnv1a_value(h, state.vy[c]);
+    h = fnv1a_value(h, state.vz[c]);
+    for (std::size_t k = 0; k < state.nlev; ++k) {
+      h = fnv1a_value(h, state.temp[state.tq(c, k)]);
+      h = fnv1a_value(h, state.q[state.tq(c, k)]);
+    }
+    local += h;  // wrapping: rank- and order-independent combine
+  }
+  return local;
+}
+
+TEST(Dycore, TracerHashMatchesRecordedTrajectory) {
+  // Golden value recorded with one halo exchange per field and level and a
+  // per-level tracer sweep: batching and the fused kernel must not move a
+  // bit, at any rank count.
+  constexpr std::uint64_t kRecorded = 7528112379581538616ULL;
+  const AtmConfig config = small_config();
+  for (int nranks : {1, 2, 4}) {
+    par::run(nranks, [&](par::Comm& comm) {
+      grid::IcosahedralGrid mesh(config.mesh_n);
+      Dycore dycore(comm, config, mesh);
+      seed_vortex(dycore, VortexSpec{});
+      dycore.perturb_temperature(11, 0.5);
+      for (int i = 0; i < 8; ++i) {
+        dycore.step_dynamics(config.dycore_dt_seconds());
+        dycore.step_tracers(config.tracer_dt_seconds());
+      }
+      EXPECT_GT(dycore.max_wind(), 0.0);
+      const std::uint64_t hash =
+          comm.allreduce_value(owned_state_hash(dycore), par::ReduceOp::kSum);
+      EXPECT_EQ(hash, kRecorded) << nranks << " ranks";
+    });
+  }
+}
+
+TEST(Dycore, HaloMessagesPerTracerStepAreBatched) {
+  // A tracer substep makes one exchange for the winds and every level of
+  // both tracers, and a dynamics substep two (h/v, then the new h): one
+  // message per (owner, requester) pair each. Per-level exchanges would
+  // send 3 + 2·nlev times as many per tracer substep.
+  const AtmConfig config = small_config();
+  constexpr int kRanks = 3;
+  grid::IcosahedralGrid mesh(config.mesh_n);
+  const auto ncells = static_cast<std::int64_t>(mesh.num_cells());
+  std::uint64_t peer_pairs = 0;  // Σ over ranks of receive-peer counts
+  for (int r = 0; r < kRanks; ++r) {
+    const grid::Range1D mine = grid::partition_1d(ncells, kRanks, r);
+    std::set<int> owners;
+    for (std::int64_t c = mine.begin; c < mine.end; ++c)
+      for (auto nb : mesh.cell_neighbors(static_cast<std::size_t>(c))) {
+        const auto id = static_cast<std::int64_t>(nb);
+        if (id < mine.begin || id >= mine.end)
+          owners.insert(grid::owner_1d(ncells, kRanks, id));
+      }
+    peer_pairs += owners.size();
+  }
+  ASSERT_GT(peer_pairs, 0u);
+  par::run(kRanks, [&](par::Comm& comm) {
+    Dycore dycore(comm, config, mesh);
+    seed_vortex(dycore, VortexSpec{});
+    auto messages_of = [&](auto&& step) {
+      comm.barrier();
+      const std::uint64_t before = comm.world().traffic().messages;
+      comm.barrier();
+      step();
+      comm.barrier();
+      const std::uint64_t sent = comm.world().traffic().messages - before;
+      comm.barrier();
+      return sent;
+    };
+    EXPECT_EQ(messages_of([&] {
+                dycore.step_tracers(config.tracer_dt_seconds());
+              }),
+              peer_pairs);
+    EXPECT_EQ(messages_of([&] {
+                dycore.step_dynamics(config.dycore_dt_seconds());
+              }),
+              2 * peer_pairs);
+    EXPECT_EQ(messages_of([&] { dycore.perturb_temperature(3, 0.1); }),
+              peer_pairs);
+  });
 }
 
 TEST(Model, MixedPrecisionStaysWithinGristThreshold) {

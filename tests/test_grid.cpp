@@ -3,11 +3,13 @@
 // the §5.2.2 active compaction, and halo exchange including the north fold.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <set>
 
 #include "base/constants.hpp"
+#include "base/error.hpp"
 #include "grid/halo.hpp"
 #include "grid/icosahedral.hpp"
 #include "grid/partition.hpp"
@@ -341,24 +343,42 @@ TEST(BlockHalo, SingleRankDegenerateCase) {
   });
 }
 
+// Owned and ghost ids of a contiguous cell partition of the icosahedral
+// mesh (the atmosphere's decomposition), and the ranks owning the ghosts.
+struct IcosaHaloIds {
+  std::vector<std::int64_t> owned, ghosts;
+  std::set<int> ghost_owners;
+};
+
+IcosaHaloIds icosa_halo_ids(const IcosahedralGrid& mesh, int nranks, int rank) {
+  const auto ncells = static_cast<std::int64_t>(mesh.num_cells());
+  const Range1D mine = partition_1d(ncells, nranks, rank);
+  IcosaHaloIds ids;
+  std::set<std::int64_t> ghost_set;
+  for (std::int64_t c = mine.begin; c < mine.end; ++c) {
+    ids.owned.push_back(c);
+    for (auto nb : mesh.cell_neighbors(static_cast<size_t>(c))) {
+      const auto id = static_cast<std::int64_t>(nb);
+      if (id < mine.begin || id >= mine.end) {
+        ghost_set.insert(id);
+        ids.ghost_owners.insert(owner_1d(ncells, nranks, id));
+      }
+    }
+  }
+  ids.ghosts.assign(ghost_set.begin(), ghost_set.end());
+  return ids;
+}
+
 TEST(GraphHalo, ExchangesNeighborValuesOnIcosahedron) {
   par::run(4, [](par::Comm& comm) {
     IcosahedralGrid mesh(4);
     const auto ncells = static_cast<std::int64_t>(mesh.num_cells());
-    const Range1D mine = partition_1d(ncells, comm.size(), comm.rank());
     auto owner = [&](std::int64_t id) {
       return owner_1d(ncells, comm.size(), id);
     };
-    std::vector<std::int64_t> owned;
-    for (std::int64_t c = mine.begin; c < mine.end; ++c) owned.push_back(c);
-    std::set<std::int64_t> ghost_set;
-    for (std::int64_t c = mine.begin; c < mine.end; ++c) {
-      for (auto nb : mesh.cell_neighbors(static_cast<size_t>(c))) {
-        if (nb < mine.begin || nb >= mine.end)
-          ghost_set.insert(static_cast<std::int64_t>(nb));
-      }
-    }
-    std::vector<std::int64_t> ghosts(ghost_set.begin(), ghost_set.end());
+    const IcosaHaloIds ids = icosa_halo_ids(mesh, comm.size(), comm.rank());
+    const std::vector<std::int64_t>& owned = ids.owned;
+    const std::vector<std::int64_t>& ghosts = ids.ghosts;
     GraphHalo halo(comm, owned, ghosts, owner);
 
     // Field value = 3 * global id + 1.
@@ -369,6 +389,103 @@ TEST(GraphHalo, ExchangesNeighborValuesOnIcosahedron) {
     halo.exchange(owned_values, ghost_values);
     for (size_t k = 0; k < ghosts.size(); ++k)
       EXPECT_EQ(ghost_values[k], 3.0 * static_cast<double>(ghosts[k]) + 1.0);
+  });
+}
+
+TEST(GraphHalo, BatchedMatchesSingleFieldExchanges) {
+  // A batch mixing width-1 and width-nlev fields (the dycore's tracer-step
+  // shape) fills ghosts bit-for-bit like one exchange per field, with one
+  // message per peer for the whole batch. At 1 rank there are no ghosts.
+  constexpr std::size_t kNlev = 5;
+  constexpr std::size_t kWidths[] = {1, kNlev, 1, kNlev};
+  for (int nranks = 1; nranks <= 4; ++nranks) {
+    par::run(nranks, [&](par::Comm& comm) {
+      IcosahedralGrid mesh(4);
+      const auto ncells = static_cast<std::int64_t>(mesh.num_cells());
+      const IcosaHaloIds ids = icosa_halo_ids(mesh, comm.size(), comm.rank());
+      GraphHalo halo(comm, ids.owned, ids.ghosts, [&](std::int64_t id) {
+        return owner_1d(ncells, comm.size(), id);
+      });
+      if (nranks == 1) {
+        EXPECT_EQ(halo.num_ghosts(), 0u);
+      }
+
+      // Field f's value at (id, k) is irrational in f, id and k, so any
+      // misplaced value shows.
+      auto value = [](std::size_t f, std::int64_t id, std::size_t k) {
+        return std::sqrt(2.0 + static_cast<double>(f)) *
+                   static_cast<double>(id) +
+               0.1 * static_cast<double>(k);
+      };
+      std::vector<std::vector<double>> owned, batched, single;
+      for (std::size_t f = 0; f < std::size(kWidths); ++f) {
+        const std::size_t w = kWidths[f];
+        std::vector<double>& o = owned.emplace_back(ids.owned.size() * w);
+        for (std::size_t i = 0; i < ids.owned.size(); ++i)
+          for (std::size_t k = 0; k < w; ++k)
+            o[i * w + k] = value(f, ids.owned[i], k);
+        batched.emplace_back(ids.ghosts.size() * w, -1.0);
+        single.emplace_back(ids.ghosts.size() * w, -2.0);
+      }
+      std::vector<GraphHalo::Field> fields;
+      for (std::size_t f = 0; f < std::size(kWidths); ++f)
+        fields.push_back({owned[f], batched[f], kWidths[f]});
+
+      // One message per (owner, requester) pair for the whole batch: the
+      // world total is the sum of every rank's receive-peer count.
+      std::uint64_t expected_messages = 0;
+      for (int r = 0; r < nranks; ++r)
+        expected_messages +=
+            icosa_halo_ids(mesh, nranks, r).ghost_owners.size();
+      comm.barrier();
+      const std::uint64_t before = comm.world().traffic().messages;
+      comm.barrier();
+      halo.exchange(fields);
+      comm.barrier();
+      const std::uint64_t sent = comm.world().traffic().messages - before;
+      comm.barrier();
+      EXPECT_EQ(sent, expected_messages);
+
+      for (std::size_t f = 0; f < std::size(kWidths); ++f) {
+        const GraphHalo::Field one[] = {{owned[f], single[f], kWidths[f]}};
+        halo.exchange(one);
+      }
+      for (std::size_t f = 0; f < std::size(kWidths); ++f) {
+        const std::size_t w = kWidths[f];
+        for (std::size_t g = 0; g < ids.ghosts.size(); ++g)
+          for (std::size_t k = 0; k < w; ++k) {
+            EXPECT_EQ(batched[f][g * w + k], value(f, ids.ghosts[g], k));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(batched[f][g * w + k]),
+                      std::bit_cast<std::uint64_t>(single[f][g * w + k]));
+          }
+      }
+    });
+  }
+}
+
+TEST(GraphHalo, MisSizedBatchFieldThrows) {
+  // Sizes are checked before any message is posted, so every rank throws and
+  // nobody is left waiting on a receive.
+  par::run(2, [](par::Comm& comm) {
+    IcosahedralGrid mesh(4);
+    const auto ncells = static_cast<std::int64_t>(mesh.num_cells());
+    const IcosaHaloIds ids = icosa_halo_ids(mesh, comm.size(), comm.rank());
+    GraphHalo halo(comm, ids.owned, ids.ghosts, [&](std::int64_t id) {
+      return owner_1d(ncells, comm.size(), id);
+    });
+    constexpr std::size_t kWidth = 3;
+    std::vector<double> owned(ids.owned.size() * kWidth, 1.0);
+    std::vector<double> ghosts(ids.ghosts.size() * kWidth, 0.0);
+    std::vector<double> short_ghosts(ids.ghosts.size() * kWidth - 1, 0.0);
+    const GraphHalo::Field good = {owned, ghosts, kWidth};
+    const GraphHalo::Field bad_ghosts[] = {good,
+                                           {owned, short_ghosts, kWidth}};
+    EXPECT_THROW(halo.exchange(bad_ghosts), Error);
+    const GraphHalo::Field bad_width[] = {{owned, ghosts, kWidth + 1}};
+    EXPECT_THROW(halo.exchange(bad_width), Error);
+    // The halo still works after the rejected calls.
+    const GraphHalo::Field ok[] = {good};
+    EXPECT_NO_THROW(halo.exchange(ok));
   });
 }
 
