@@ -39,6 +39,12 @@ AtmModel::AtmModel(const par::Comm& comm, const AtmConfig& config,
   gsw_.assign(local.num_owned(), 0.0);
   glw_.assign(local.num_owned(), 0.0);
   precip_.assign(local.num_owned(), 0.0);
+  const auto nlev = static_cast<std::size_t>(config.nlev);
+  level_pressure_factor_.resize(nlev);
+  for (std::size_t k = 0; k < nlev; ++k) {
+    const double depth = static_cast<double>(k + 1) / static_cast<double>(nlev);
+    level_pressure_factor_[k] = std::pow(depth, 1.2);
+  }
   for (std::size_t c = 0; c < local.num_owned(); ++c) {
     land_mask_[c] =
         grid::is_land_at(local.lon_rad(c), local.lat_rad(c), config.seed);
@@ -126,64 +132,75 @@ void AtmModel::apply_physics(double t_seconds, double dt) {
   const std::size_t n = local.num_owned();
   const auto nlev = state.nlev;
 
-  ColumnBatch batch(n, nlev);
+  // A column-local suite runs chunk by chunk through one small batch; any
+  // other suite gets every owned column in one call (the chunk = n case).
+  // The do-while makes one call even on a rank that owns no columns.
+  const std::size_t chunk =
+      physics_->column_local() ? std::min(kPhysicsChunkColumns, n) : n;
+  ColumnBatch batch(chunk, nlev);
   batch.dt = dt;
-  for (std::size_t c = 0; c < n; ++c) {
-    double u_east = 0.0, v_north = 0.0;
-    dycore_->wind_at(c, u_east, v_north);
-    const double ps = surface_pressure(c);
-    for (std::size_t k = 0; k < nlev; ++k) {
-      const std::size_t i = batch.at(c, k);
-      const double depth =
-          static_cast<double>(k + 1) / static_cast<double>(nlev);
-      batch.u[i] = u_east;
-      batch.v[i] = v_north;
-      batch.temp[i] = state.temp[state.tq(c, k)];
-      batch.q[i] = state.q[state.tq(c, k)];
-      batch.pressure[i] = ps * std::pow(depth, 1.2) + 2000.0;
+  std::size_t lo = 0;
+  do {
+    const std::size_t ncols = std::min(chunk, n - lo);
+    if (ncols != batch.ncols) batch.resize(ncols);
+    for (std::size_t b = 0; b < ncols; ++b) {
+      const std::size_t c = lo + b;
+      double u_east = 0.0, v_north = 0.0;
+      dycore_->wind_at(c, u_east, v_north);
+      const double ps = surface_pressure(c);
+      for (std::size_t k = 0; k < nlev; ++k) {
+        const std::size_t i = batch.at(b, k);
+        batch.u[i] = u_east;
+        batch.v[i] = v_north;
+        batch.temp[i] = state.temp[state.tq(c, k)];
+        batch.q[i] = state.q[state.tq(c, k)];
+        batch.pressure[i] = ps * level_pressure_factor_[k] + 2000.0;
+      }
+      batch.tskin[b] = tskin_[c];
+      batch.coszr[b] = cos_zenith(c, t_seconds);
     }
-    batch.tskin[c] = tskin_[c];
-    batch.coszr[c] = cos_zenith(c, t_seconds);
-  }
 
-  physics_->compute(batch);
+    physics_->compute(batch);
 
-  for (std::size_t c = 0; c < n; ++c) {
-    // Column tendencies back to the 3-D stacks.
-    double du_mean = 0.0, dv_mean = 0.0;
-    for (std::size_t k = 0; k < nlev; ++k) {
-      const std::size_t i = batch.at(c, k);
-      state.temp[state.tq(c, k)] += dt * batch.dtemp[i];
-      double& q = state.q[state.tq(c, k)];
-      q += dt * batch.dq[i];
-      if (q < 0.0) q = 0.0;
-      du_mean += batch.du[i];
-      dv_mean += batch.dv[i];
+    for (std::size_t b = 0; b < ncols; ++b) {
+      const std::size_t c = lo + b;
+      // Column tendencies back to the 3-D stacks.
+      double du_mean = 0.0, dv_mean = 0.0;
+      for (std::size_t k = 0; k < nlev; ++k) {
+        const std::size_t i = batch.at(b, k);
+        state.temp[state.tq(c, k)] += dt * batch.dtemp[i];
+        double& q = state.q[state.tq(c, k)];
+        q += dt * batch.dq[i];
+        if (q < 0.0) q = 0.0;
+        du_mean += batch.du[i];
+        dv_mean += batch.dv[i];
+      }
+      du_mean /= static_cast<double>(nlev);
+      dv_mean /= static_cast<double>(nlev);
+      double u_east = 0.0, v_north = 0.0;
+      dycore_->wind_at(c, u_east, v_north);
+      dycore_->set_wind_at(c, u_east + dt * du_mean, v_north + dt * dv_mean);
+
+      gsw_[c] = batch.gsw[b];
+      glw_[c] = batch.glw[b];
+      precip_[c] = batch.precip[b];
+
+      // Directly-coupled land: radiation + precipitation in, skin state out.
+      if (land_mask_[c]) {
+        lnd::LandForcing forcing;
+        forcing.gsw = gsw_[c];
+        forcing.glw = glw_[c];
+        forcing.t_air = batch.temp[batch.at(b, nlev - 1)];
+        forcing.precip = precip_[c];
+        const lnd::LandResponse response = land_->step_cell(c, dt, forcing);
+        tskin_[c] = response.tskin;
+      } else {
+        tskin_[c] = ifrac_[c] * (constants::kSeawaterFreeze + constants::kT0) +
+                    (1.0 - ifrac_[c]) * sst_[c];
+      }
     }
-    du_mean /= static_cast<double>(nlev);
-    dv_mean /= static_cast<double>(nlev);
-    double u_east = 0.0, v_north = 0.0;
-    dycore_->wind_at(c, u_east, v_north);
-    dycore_->set_wind_at(c, u_east + dt * du_mean, v_north + dt * dv_mean);
-
-    gsw_[c] = batch.gsw[c];
-    glw_[c] = batch.glw[c];
-    precip_[c] = batch.precip[c];
-
-    // Directly-coupled land: radiation + precipitation in, skin state out.
-    if (land_mask_[c]) {
-      lnd::LandForcing forcing;
-      forcing.gsw = gsw_[c];
-      forcing.glw = glw_[c];
-      forcing.t_air = batch.temp[batch.at(c, nlev - 1)];
-      forcing.precip = precip_[c];
-      const lnd::LandResponse response = land_->step_cell(c, dt, forcing);
-      tskin_[c] = response.tskin;
-    } else {
-      tskin_[c] = ifrac_[c] * (constants::kSeawaterFreeze + constants::kT0) +
-                  (1.0 - ifrac_[c]) * sst_[c];
-    }
-  }
+    lo += ncols;
+  } while (lo < n);
 }
 
 void AtmModel::export_state(mct::AttrVect& a2x) const {

@@ -21,6 +21,11 @@
 
 namespace ap3::atm {
 
+/// Columns per physics call for a column-local suite (ICON's `nproma`): the
+/// batch is ~276 KB at 30 levels, so it stays in cache and is reused across
+/// chunks instead of first-touching nine ncols·nlev arrays every model step.
+inline constexpr std::size_t kPhysicsChunkColumns = 128;
+
 /// Busy-channel-only balance::Rebalanceable: the icosahedral mesh keeps its
 /// 1-D balanced partition (no block cuts), so block_partition() stays null
 /// and the atmosphere participates through "atm:busy_seconds" + phase-cost
@@ -95,6 +100,8 @@ class AtmModel : public balance::Rebalanceable {
   std::vector<double> sst_;     ///< imported SST [K]
   std::vector<double> ifrac_;   ///< imported ice fraction
   std::vector<double> gsw_, glw_, precip_;  ///< last physics diagnostics
+  /// Per-level pressure profile shape, depth^1.2 with depth = (k+1)/nlev.
+  std::vector<double> level_pressure_factor_;
   long long steps_ = 0;
   long long stall_points_ = 0;  ///< owned cells in the stall band
 };

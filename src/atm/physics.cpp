@@ -17,22 +17,27 @@ using constants::kLatentVap;
 using constants::kSolarConstant;
 
 ColumnBatch::ColumnBatch(std::size_t ncols_, std::size_t nlev_)
-    : ncols(ncols_), nlev(nlev_) {
+    : nlev(nlev_) {
+  resize(ncols_);
+}
+
+void ColumnBatch::resize(std::size_t ncols_) {
+  ncols = ncols_;
   const std::size_t n = ncols * nlev;
-  u.assign(n, 0.0);
-  v.assign(n, 0.0);
-  temp.assign(n, 260.0);
-  q.assign(n, 1e-3);
-  pressure.assign(n, 5e4);
-  tskin.assign(ncols, 288.0);
-  coszr.assign(ncols, 0.5);
-  du.assign(n, 0.0);
-  dv.assign(n, 0.0);
-  dtemp.assign(n, 0.0);
-  dq.assign(n, 0.0);
-  gsw.assign(ncols, 0.0);
-  glw.assign(ncols, 0.0);
-  precip.assign(ncols, 0.0);
+  u.resize(n, 0.0);
+  v.resize(n, 0.0);
+  temp.resize(n, 260.0);
+  q.resize(n, 1e-3);
+  pressure.resize(n, 5e4);
+  tskin.resize(ncols, 288.0);
+  coszr.resize(ncols, 0.5);
+  du.resize(n, 0.0);
+  dv.resize(n, 0.0);
+  dtemp.resize(n, 0.0);
+  dq.resize(n, 0.0);
+  gsw.resize(ncols, 0.0);
+  glw.resize(ncols, 0.0);
+  precip.resize(ncols, 0.0);
 }
 
 void ColumnBatch::zero_outputs() {

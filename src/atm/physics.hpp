@@ -23,7 +23,9 @@
 namespace ap3::atm {
 
 /// Batch of vertical columns handed to a physics suite. All level arrays are
-/// (ncols × nlev), level 0 = model top, level nlev-1 = surface.
+/// (ncols × nlev), level 0 = model top, level nlev-1 = surface. A batch holds
+/// either all of a rank's owned columns or, for a column-local suite, one
+/// fixed-size chunk of them (AtmModel::apply_physics).
 struct ColumnBatch {
   std::size_t ncols = 0;
   std::size_t nlev = 0;
@@ -44,6 +46,10 @@ struct ColumnBatch {
   std::vector<double> precip;             ///< precipitation rate [kg/m²/s]
 
   ColumnBatch(std::size_t ncols, std::size_t nlev);
+  /// Change the column count. Leading columns keep their values, added ones
+  /// get the constructor's defaults, and shrinking keeps the capacity, so a
+  /// tail chunk reuses the storage of a full one.
+  void resize(std::size_t ncols);
   std::size_t at(std::size_t col, std::size_t lev) const {
     return col * nlev + lev;
   }
@@ -56,6 +62,12 @@ class PhysicsSuite {
  public:
   virtual ~PhysicsSuite() = default;
   virtual void compute(ColumnBatch& batch) = 0;
+  /// True when every output column depends only on the same input column, so
+  /// the model may call compute() once per chunk of columns rather than once
+  /// on all owned columns; the results are bitwise the same either way. A
+  /// suite that is not column-local (the default) gets exactly one compute()
+  /// per model step holding every owned column, even when there are none.
+  virtual bool column_local() const { return false; }
   virtual const char* name() const = 0;
   /// Scalar-flops per column (perf-model input; AI suite reports tensor
   /// flops separately).
@@ -82,6 +94,8 @@ class ConventionalPhysics : public PhysicsSuite {
  public:
   explicit ConventionalPhysics(ConventionalConfig config = {});
   void compute(ColumnBatch& batch) override;
+  /// Every scheme reads and writes only its own column.
+  bool column_local() const override { return true; }
   const char* name() const override { return "conventional"; }
   double flops_per_column(std::size_t nlev) const override;
 
@@ -111,6 +125,8 @@ struct OnlineTrainingConfig {
 /// Adapter running the trained AI suite behind the same interface. All
 /// inference goes through the suite's batched InferenceEngine; pass an
 /// EngineConfig to pick the execution space / precision policy / overlap.
+/// Not column-local: online training counts compute() calls and fits on the
+/// batch's leading columns, so it must see the whole owned batch per step.
 class AiPhysics : public PhysicsSuite {
  public:
   explicit AiPhysics(std::shared_ptr<ai::AiPhysicsSuite> suite);

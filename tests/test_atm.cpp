@@ -5,7 +5,9 @@
 // export/import contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -18,8 +20,10 @@
 #include "atm/vortex.hpp"
 #include "base/constants.hpp"
 #include "base/hash.hpp"
+#include "base/rng.hpp"
 #include "obs/obs.hpp"
 #include "par/comm.hpp"
+#include "toy_ai_suite.hpp"
 
 namespace {
 
@@ -201,6 +205,96 @@ TEST(Physics, QsatIncreasesWithTemperature) {
   ConventionalPhysics physics;
   EXPECT_GT(physics.qsat(300.0), physics.qsat(280.0));
   EXPECT_GT(physics.qsat(280.0), physics.qsat(250.0));
+}
+
+// N varied columns: statically unstable and stable lapse rates, super- and
+// subsaturated humidity, day and night, warm and cold skins.
+ColumnBatch varied_columns(std::size_t ncols, std::size_t nlev,
+                           std::uint64_t seed) {
+  Rng rng(seed);
+  ColumnBatch batch(ncols, nlev);
+  batch.dt = 600.0;
+  for (std::size_t c = 0; c < ncols; ++c) {
+    const bool unstable = c % 3 == 0;
+    const bool saturated = c % 4 == 1;
+    batch.tskin[c] = rng.uniform(250.0, 310.0);
+    batch.coszr[c] = c % 2 == 0 ? 0.0 : rng.uniform(0.05, 1.0);
+    for (std::size_t k = 0; k < nlev; ++k) {
+      const std::size_t i = batch.at(c, k);
+      const double lapse = unstable ? rng.uniform(10.0, 25.0) : 6.0;
+      batch.temp[i] = 210.0 + lapse * static_cast<double>(k) +
+                      rng.uniform(-1.0, 1.0);
+      batch.q[i] = saturated ? rng.uniform(0.02, 0.06)
+                             : rng.uniform(0.0, 1e-5);
+      batch.u[i] = rng.uniform(-30.0, 30.0);
+      batch.v[i] = rng.uniform(-30.0, 30.0);
+      batch.pressure[i] = 1e5 * (static_cast<double>(k) + 1.0) /
+                          static_cast<double>(nlev);
+    }
+  }
+  return batch;
+}
+
+TEST(Physics, ConventionalIsColumnLocal) {
+  // The guard behind ConventionalPhysics::column_local(): running the suite
+  // over chunks (one reused batch, shrunk for the tail as the model does)
+  // gives bitwise the outputs of one call on the whole batch.
+  constexpr std::size_t kCols = 23, kLev = 12;
+  const ColumnBatch input = varied_columns(kCols, kLev, 41);
+  for (std::size_t width : {std::size_t{0}, std::size_t{8}}) {
+    ConventionalConfig config;
+    config.pack_width = width;
+    ConventionalPhysics physics(config);
+    ColumnBatch whole = input;
+    physics.compute(whole);
+    // The columns take both sides of the condensation and day/night
+    // branches: some precipitate and some do not, some are sunlit.
+    std::size_t wet = 0, sunny = 0;
+    for (std::size_t c = 0; c < kCols; ++c) {
+      wet += whole.precip[c] > 0.0;
+      sunny += whole.gsw[c] > 0.0;
+    }
+    EXPECT_GT(wet, 0u);
+    EXPECT_LT(wet, kCols);
+    EXPECT_GT(sunny, 0u);
+    EXPECT_LT(sunny, kCols);
+
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, kCols - 1}) {
+      ColumnBatch part(chunk, kLev);
+      part.dt = input.dt;
+      for (std::size_t lo = 0; lo < kCols; lo += part.ncols) {
+        const std::size_t ncols = std::min(chunk, kCols - lo);
+        if (ncols != part.ncols) part.resize(ncols);
+        for (std::size_t b = 0; b < ncols; ++b) {
+          part.tskin[b] = input.tskin[lo + b];
+          part.coszr[b] = input.coszr[lo + b];
+          for (std::size_t k = 0; k < kLev; ++k) {
+            const std::size_t i = part.at(b, k), j = input.at(lo + b, k);
+            part.u[i] = input.u[j];
+            part.v[i] = input.v[j];
+            part.temp[i] = input.temp[j];
+            part.q[i] = input.q[j];
+            part.pressure[i] = input.pressure[j];
+          }
+        }
+        physics.compute(part);
+        for (std::size_t b = 0; b < ncols; ++b) {
+          const std::size_t c = lo + b;
+          ASSERT_EQ(part.gsw[b], whole.gsw[c]) << "col " << c;
+          ASSERT_EQ(part.glw[b], whole.glw[c]) << "col " << c;
+          ASSERT_EQ(part.precip[b], whole.precip[c]) << "col " << c;
+          for (std::size_t k = 0; k < kLev; ++k) {
+            const std::size_t i = part.at(b, k), j = whole.at(c, k);
+            ASSERT_EQ(part.du[i], whole.du[j]) << "col " << c << " lev " << k;
+            ASSERT_EQ(part.dv[i], whole.dv[j]) << "col " << c << " lev " << k;
+            ASSERT_EQ(part.dtemp[i], whole.dtemp[j])
+                << "col " << c << " lev " << k;
+            ASSERT_EQ(part.dq[i], whole.dq[j]) << "col " << c << " lev " << k;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Physics, TrainedAiSuiteApproximatesConventional) {
@@ -499,6 +593,119 @@ TEST(Dycore, TracerHashMatchesRecordedTrajectory) {
       EXPECT_EQ(hash, kRecorded) << nranks << " ranks";
     });
   }
+}
+
+TEST(Model, PhysicsHashMatchesRecordedTrajectory) {
+  // Golden value recorded with one physics batch of every owned column per
+  // model step and a per-(column, level) pow for the pressure profile:
+  // chunked physics (full chunks plus a tail on every rank count here) must
+  // not move a bit of the atmosphere, its surface diagnostics or the land.
+  constexpr std::uint64_t kRecorded = 1096944480988952419ULL;
+  const AtmConfig config = small_config();
+  for (int nranks : {1, 2, 4}) {
+    int tails = 0;  // ranks whose physics runs full chunks and a tail
+    std::mutex mutex;
+    std::uint64_t hash = 0;
+    par::run(nranks, [&](par::Comm& comm) {
+      grid::IcosahedralGrid mesh(config.mesh_n);
+      AtmModel model(comm, config, mesh);
+      seed_vortex(model.dycore(), VortexSpec{});
+      model.dycore().perturb_temperature(11, 0.5);
+      model.run(0.0, 3.0 * config.model_dt_seconds());
+      const std::size_t n = model.dycore().mesh().num_owned();
+      mct::AttrVect a2x(AtmModel::export_fields(), n);
+      model.export_state(a2x);
+      std::uint64_t local = owned_state_hash(model.dycore());
+      for (std::size_t c = 0; c < n; ++c) {
+        std::uint64_t h = kFnvBasis;
+        h = fnv1a_value(h, model.dycore().mesh().global_id(c));
+        for (const char* name : {"gsw", "glw", "precip"})
+          h = fnv1a_value(h, a2x.field(name)[c]);
+        h = fnv1a_value(h, model.tskin(c));
+        h = fnv1a_value(h, model.land().tskin_state()[c]);
+        h = fnv1a_value(h, model.land().water_state()[c]);
+        local += h;
+      }
+      const std::uint64_t total =
+          comm.allreduce_value(local, par::ReduceOp::kSum);
+      std::lock_guard<std::mutex> lock(mutex);
+      hash = total;
+      if (n > kPhysicsChunkColumns && n % kPhysicsChunkColumns != 0) ++tails;
+    });
+    EXPECT_GT(tails, 0) << nranks << " ranks";
+    EXPECT_EQ(hash, kRecorded) << nranks << " ranks";
+  }
+}
+
+// AiPhysics that records every compute() call it gets, and hashes the
+// level pressures it is handed (the conventional suite never reads them).
+class CountingAiPhysics : public AiPhysics {
+ public:
+  using AiPhysics::AiPhysics;
+  void compute(ColumnBatch& batch) override {
+    ++calls;
+    columns += batch.ncols;
+    for (double p : batch.pressure) pressure_hash = fnv1a_value(pressure_hash, p);
+    AiPhysics::compute(batch);
+  }
+  long long calls = 0;
+  std::size_t columns = 0;
+  std::uint64_t pressure_hash = kFnvBasis;
+};
+
+TEST(Model, AiPhysicsGetsOneWholeBatchPerStep) {
+  // The AI suite is not column-local (online training counts calls and fits
+  // on the leading columns): one compute() and one engine run per model step
+  // with every owned column, however many chunks the conventional suite
+  // would take. The pressures match the values recorded when each was a
+  // per-(column, level) std::pow.
+  constexpr int kSteps = 3;
+  constexpr std::uint64_t kRecordedPressure = 14792203226741096187ULL;
+  par::run(1, [&](par::Comm& comm) {
+    const AtmConfig config = small_config();
+    grid::IcosahedralGrid mesh(config.mesh_n);
+    AtmModel model(comm, config, mesh);
+    const std::size_t n = model.dycore().mesh().num_owned();
+    ASSERT_GT(n, kPhysicsChunkColumns);
+    const auto suite =
+        ap3::testing::make_test_suite(static_cast<std::size_t>(config.nlev));
+    auto physics = std::make_unique<CountingAiPhysics>(suite);
+    CountingAiPhysics& counted = *physics;
+    model.set_physics(std::move(physics));
+    model.run(0.0, kSteps * config.model_dt_seconds());
+    EXPECT_EQ(counted.calls, kSteps);
+    EXPECT_EQ(counted.columns, kSteps * n);
+    EXPECT_EQ(suite->engine().stats().runs, static_cast<std::uint64_t>(kSteps));
+    EXPECT_EQ(suite->engine().stats().columns,
+              static_cast<std::uint64_t>(kSteps * n));
+    EXPECT_EQ(counted.pressure_hash, kRecordedPressure);
+  });
+}
+
+TEST(Model, RankWithoutColumnsStillCallsPhysicsEveryStep) {
+  // 21 ranks over the 20-cell mesh leave one rank with no columns. Its suite
+  // still gets one (empty) compute() per model step, as every other rank's
+  // does, so per-call state such as the online-training counter stays in
+  // step across ranks.
+  constexpr int kSteps = 2;
+  AtmConfig config = small_config();
+  config.mesh_n = 1;
+  const grid::IcosahedralGrid mesh(config.mesh_n);
+  const int nranks = static_cast<int>(mesh.num_cells()) + 1;
+  std::atomic<int> empty_ranks{0};
+  par::run(nranks, [&](par::Comm& comm) {
+    AtmModel model(comm, config, mesh);
+    const std::size_t n = model.dycore().mesh().num_owned();
+    if (n == 0) ++empty_ranks;
+    auto physics = std::make_unique<CountingAiPhysics>(
+        ap3::testing::make_test_suite(static_cast<std::size_t>(config.nlev)));
+    CountingAiPhysics& counted = *physics;
+    model.set_physics(std::move(physics));
+    model.run(0.0, kSteps * config.model_dt_seconds());
+    EXPECT_EQ(counted.calls, kSteps) << "rank " << comm.rank();
+    EXPECT_EQ(counted.columns, kSteps * n) << "rank " << comm.rank();
+  });
+  EXPECT_EQ(empty_ranks.load(), 1);
 }
 
 TEST(Dycore, HaloMessagesPerTracerStepAreBatched) {
