@@ -21,7 +21,6 @@
 // must equal fp32 (power-of-two scales round-trip losslessly). Any mismatch
 // exits non-zero.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -46,12 +45,6 @@ using tensor::Tensor;
 constexpr int kReps = 3;
 constexpr std::size_t kColumns = 512;
 constexpr std::size_t kLevels = 20;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::uint64_t fnv_bytes(std::uint64_t h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -121,10 +114,10 @@ double run_once(const Fixture& fx, Condition& cond) {
 
   const double dma_b0 = obs::total_counter("sunway:dma:bytes");
   const double dma_t0 = obs::total_counter("sunway:dma:transfers");
-  const double t0 = now_seconds();
+  const double t0 = obs::now_seconds();
   const ai::SuiteOutput out =
       fx.suite->compute(fx.columns, fx.tskin, fx.coszr);
-  const double t1 = now_seconds();
+  const double t1 = obs::now_seconds();
   cond.dma_bytes = obs::total_counter("sunway:dma:bytes") - dma_b0;
   cond.dma_transfers = obs::total_counter("sunway:dma:transfers") - dma_t0;
 

@@ -22,7 +22,6 @@
 // Prints a table and writes BENCH_ensemble.json.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "atm/vortex.hpp"
 #include "coupler/driver.hpp"
 #include "fleet/fleet.hpp"
+#include "obs/obs.hpp"
 #include "par/comm.hpp"
 
 namespace {
@@ -42,12 +42,6 @@ constexpr int kWindows = 4;
 constexpr int kReps = 3;
 constexpr std::uint64_t kSeedBase = 7000;
 constexpr double kPerturbKelvin = 1.0;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 cpl::CoupledConfig bench_config() {
   cpl::CoupledConfig config;
@@ -106,7 +100,7 @@ MemberResult run_member(cpl::CoupledModel& model, int k) {
 /// Back-to-back solo runs: each member rebuilds all inputs and plans.
 RunResult run_solo() {
   RunResult out;
-  const double t0 = now_seconds();
+  const double t0 = obs::now_seconds();
   par::run(kRanks, [&out](par::Comm& comm) {
     std::vector<cpl::ScenarioSpec> specs = member_specs(nullptr);
     for (int k = 0; k < kMembers; ++k) {
@@ -115,14 +109,14 @@ RunResult run_solo() {
       if (comm.rank() == 0) out.members[k] = r;
     }
   });
-  out.seconds = now_seconds() - t0;
+  out.seconds = obs::now_seconds() - t0;
   return out;
 }
 
 /// The fleet: one SharedInputs build, donated plans, round-robin schedule.
 RunResult run_fleet(std::size_t* shared_bytes) {
   RunResult out;
-  const double t0 = now_seconds();
+  const double t0 = obs::now_seconds();
   const auto shared = cpl::build_shared_inputs(bench_config());
   par::run(kRanks, [&out, &shared](par::Comm& comm) {
     fleet::EnsembleFleet fl(comm, member_specs(shared));
@@ -141,7 +135,7 @@ RunResult run_fleet(std::size_t* shared_bytes) {
       if (comm.rank() == 0) out.members[k] = r;
     }
   });
-  out.seconds = now_seconds() - t0;
+  out.seconds = obs::now_seconds() - t0;
   if (shared_bytes != nullptr) *shared_bytes = shared->resident_bytes();
   return out;
 }
@@ -173,10 +167,14 @@ int main() {
 
   const cpl::CoupledConfig config = bench_config();
   const double sim_seconds = kWindows * config.atm.model_dt_seconds();
-  const double sypd_solo =
-      kMembers * sim_seconds / (365.0 * solo.seconds);
-  const double sypd_fleet =
-      kMembers * sim_seconds / (365.0 * fleet_run.seconds);
+  auto aggregate_sypd = [&](double wall_seconds) {
+    cpl::TimingSummary timing;
+    timing.simulated_seconds = kMembers * sim_seconds;
+    timing.wall_seconds = wall_seconds;
+    return timing.sypd();
+  };
+  const double sypd_solo = aggregate_sypd(solo.seconds);
+  const double sypd_fleet = aggregate_sypd(fleet_run.seconds);
   const double speedup = solo.seconds / fleet_run.seconds;
   const std::size_t replicated_bytes =
       static_cast<std::size_t>(kMembers) * shared_bytes;

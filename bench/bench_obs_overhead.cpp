@@ -12,7 +12,6 @@
 // fields report the largest size. Timing uses best-of-reps, the standard
 // micro-bench estimator least sensitive to scheduler noise.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -25,20 +24,14 @@ using namespace ap3;
 
 constexpr int kReps = 9;
 
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Best-of-kReps ns per launch for `launches` launches of `one_launch`.
 template <typename Fn>
 double best_ns_per_launch(std::size_t launches, const Fn& one_launch) {
   double best = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
-    const double t0 = now_seconds();
+    const double t0 = obs::now_seconds();
     for (std::size_t l = 0; l < launches; ++l) one_launch();
-    const double t1 = now_seconds();
+    const double t1 = obs::now_seconds();
     best = std::min(best, (t1 - t0) * 1e9 / static_cast<double>(launches));
   }
   return best;

@@ -24,12 +24,12 @@
 // Prints a table and writes BENCH_overlap.json.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdint>
 
 #include "coupler/driver.hpp"
 #include "fault/fault.hpp"
+#include "obs/obs.hpp"
 #include "par/comm.hpp"
 
 namespace {
@@ -38,12 +38,6 @@ using namespace ap3;
 
 constexpr int kRanks = 4;
 constexpr int kReps = 3;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 cpl::CoupledConfig bench_config(bool overlap) {
   cpl::CoupledConfig config;
@@ -85,10 +79,10 @@ RunResult run_once(bool overlap, bool faulty, int windows) {
   const auto body = [&](par::Comm& comm) {
     cpl::CoupledModel model(comm, bench_config(overlap));
     comm.barrier();
-    const double t0 = now_seconds();
+    const double t0 = obs::now_seconds();
     model.run_windows(windows);
     comm.barrier();
-    const double t1 = now_seconds();
+    const double t1 = obs::now_seconds();
     const std::uint64_t h = model.state_hash();  // collective
     if (comm.rank() == 0) {
       wall = t1 - t0;

@@ -24,11 +24,11 @@
 // Prints a table and writes BENCH_rebalance.json.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 
 #include "coupler/driver.hpp"
+#include "obs/obs.hpp"
 #include "par/comm.hpp"
 
 namespace {
@@ -38,12 +38,6 @@ using namespace ap3;
 constexpr int kRanks = 2;
 constexpr int kReps = 3;
 constexpr int kWindows = 6;
-
-double now_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 enum class Skew { kNone, kOcn, kIce, kAtm };
 
@@ -98,10 +92,10 @@ RunResult run_once(bool rebalance, Skew skew) {
   par::run(kRanks, [&](par::Comm& comm) {
     cpl::CoupledModel model(comm, bench_config(rebalance, skew));
     comm.barrier();
-    const double t0 = now_seconds();
+    const double t0 = obs::now_seconds();
     model.run_windows(kWindows);
     comm.barrier();
-    const double t1 = now_seconds();
+    const double t1 = obs::now_seconds();
     const std::uint64_t h = model.state_hash();  // collective
     if (comm.rank() == 0) {
       wall = t1 - t0;

@@ -385,8 +385,10 @@ int main(int argc, char** argv) {
                           fl.spec(k).perturbation_seed),
                       diags[k].mean_sst_k, diags[k].ice_fraction,
                       static_cast<unsigned long long>(hashes[k]));
-        const double sim_seconds = total_windows * window;
-        const double sypd = sim_seconds / (365.0 * wall);
+        cpl::TimingSummary timing;
+        timing.simulated_seconds = total_windows * window;
+        timing.wall_seconds = wall;
+        const double sypd = timing.sypd();
         std::printf("\nensemble finished: %d members x %d windows in %.2f s"
                     "\naggregate throughput: %.4f members x SYPD\n",
                     ensemble, total_windows, wall, ensemble * sypd);

@@ -306,24 +306,18 @@ void CoupledModel::run_windows(int atm_windows) {
   }
 }
 
-TimerRegistry& CoupledModel::timers() {
-  refresh_timers();
-  return timers_;
-}
-
-void CoupledModel::refresh_timers() {
-  // Rebuild the compatibility registry from this rank's span aggregates.
+TimingSummary CoupledModel::timing_summary() {
+  TimingSummary summary;
+  summary.simulated_seconds =
+      static_cast<double>(clock_.steps_taken()) * window_seconds_;
   // Only the driver's "run*" phase namespace feeds the paper-facing report;
   // kernel/launch spans stay in obs's own exporters.
-  timers_.reset();
-  obs::fill_registry(obs::local(), obs_first_event_, timers_, "run");
-}
-
-TimingSummary CoupledModel::timing_summary() {
-  refresh_timers();
-  return summarize_timing(global_, timers_,
-                          static_cast<double>(clock_.steps_taken()) *
-                              window_seconds_);
+  for (obs::MergedSpan& span : obs::merge(global_, obs_first_event_).spans) {
+    if (!span.name.starts_with("run")) continue;
+    if (span.name == "run") summary.wall_seconds = span.total_max;
+    summary.phases.push_back(std::move(span));
+  }
+  return summary;
 }
 
 void CoupledModel::ocn_phase() {

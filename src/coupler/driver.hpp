@@ -29,7 +29,6 @@
 #include "atm/vortex.hpp"
 #include "balance/balance.hpp"
 #include "base/rng.hpp"
-#include "base/timer.hpp"
 #include "coupler/clock.hpp"
 #include "coupler/fluxes.hpp"
 #include "coupler/scenario.hpp"
@@ -213,12 +212,12 @@ class CoupledModel {
   Rng& rng() { return rng_; }
 
   // --- collective diagnostics (call on every global rank) --------------------
-  /// getTiming-style report over everything run so far (§6.2; collective).
-  /// Phase totals come from obs spans (AP3_SPAN call sites in the driver);
-  /// the registry below is the compatibility shim they are reduced through.
+  /// getTiming-style report over everything run since initialization (§6.2;
+  /// collective, identical on every rank): the driver's "run*" spans reduced
+  /// across ranks by obs::merge. While obs::set_enabled(false) holds no spans
+  /// are recorded, so a run made entirely with obs disabled reports no
+  /// phases and SYPD 0.
   TimingSummary timing_summary();
-  /// The span-fed shim registry, refreshed on access (not collective).
-  TimerRegistry& timers();
 
   /// One consistent snapshot of the scalar diagnostics (collective).
   CoupledDiagnostics diagnostics();
@@ -237,7 +236,6 @@ class CoupledModel {
   double mean_precip_impl();
   double ice_fraction_impl();
   double max_current_impl();
-  void refresh_timers();  ///< rebuild the shim registry from span aggregates
   void atm_ice_phase();  ///< one master window: atm.run, ice.run, exchanges
   void ocn_phase();      ///< at ocean boundaries: fluxes, ocn.run, exports
 
@@ -351,7 +349,6 @@ class CoupledModel {
   /// In-flight async checkpoint writers, oldest first (≤ 2: back-pressure).
   std::deque<std::unique_ptr<io::CheckpointWriter>> pending_checkpoints_;
   Rng rng_{0xA93E5Cull};  ///< driver stream; part of the checkpoint
-  TimerRegistry timers_;  ///< compatibility shim, fed from obs spans
   std::size_t obs_first_event_ = 0;  ///< span-buffer mark at end of init
   double window_seconds_ = 0.0;
   BulkFluxConfig flux_config_;

@@ -1,6 +1,5 @@
 #include "coupler/timing.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 #include "base/constants.hpp"
@@ -17,60 +16,15 @@ double TimingSummary::sypd() const {
 std::string TimingSummary::to_string() const {
   std::ostringstream os;
   os << "timing report (max across ranks, init excluded)\n";
-  for (const PhaseTiming& phase : phases) {
+  for (const obs::MergedSpan& phase : phases) {
     std::string label = "  " + phase.name;
     if (label.size() < 28) label.resize(28, ' ');
-    os << label << " " << phase.max_seconds << " s  (mean "
-       << phase.mean_seconds << " s, " << phase.calls << " calls)\n";
+    os << label << " " << phase.total_max << " s  (mean "
+       << phase.total_mean << " s, " << phase.calls << " calls)\n";
   }
   os << "  simulated " << simulated_seconds << " s in " << wall_seconds
      << " s wall -> " << sypd() << " SYPD\n";
   return os.str();
-}
-
-TimingSummary summarize_timing(const par::Comm& comm,
-                               const TimerRegistry& registry,
-                               double simulated_seconds) {
-  TimingSummary summary;
-  summary.simulated_seconds = simulated_seconds;
-
-  // Agree on the phase list: union of names, gathered as a flat string.
-  std::string mine;
-  for (const TimerStats& stats : registry.snapshot()) mine += stats.name + "\n";
-  std::vector<char> flat(mine.begin(), mine.end());
-  const std::vector<char> all = comm.allgatherv(std::span<const char>(flat),
-                                                nullptr);
-  std::vector<std::string> names;
-  {
-    std::string current;
-    for (char ch : all) {
-      if (ch == '\n') {
-        if (!current.empty() &&
-            std::find(names.begin(), names.end(), current) == names.end())
-          names.push_back(current);
-        current.clear();
-      } else {
-        current.push_back(ch);
-      }
-    }
-    std::sort(names.begin(), names.end());
-  }
-
-  double run_total = 0.0;
-  for (const std::string& name : names) {
-    PhaseTiming phase;
-    phase.name = name;
-    const double local = registry.total(name);
-    phase.max_seconds = comm.allreduce_value(local, par::ReduceOp::kMax);
-    phase.mean_seconds =
-        comm.allreduce_value(local, par::ReduceOp::kSum) / comm.size();
-    phase.calls = comm.allreduce_value(
-        static_cast<long long>(registry.calls(name)), par::ReduceOp::kMax);
-    summary.phases.push_back(phase);
-    if (name == "run") run_total = phase.max_seconds;
-  }
-  summary.wall_seconds = run_total;
-  return summary;
 }
 
 }  // namespace ap3::cpl

@@ -3,39 +3,28 @@
 // The paper measures with GPTL timers inside Coupler 7, reduces with the
 // maximum across ranks ("to account for potential load imbalance"), and
 // converts to SYPD with the getTiming script. This module reproduces that
-// pipeline: the driver stamps per-phase timers into a per-rank registry;
-// summarize() reduces across ranks and reports component and whole-model
-// SYPD, excluding initialization — exactly the paper's measurement basis.
+// pipeline on the observability layer: the driver records its phases as
+// "run*" obs spans, CoupledModel::timing_summary() reduces them across ranks
+// with obs::merge, and this summary reports component and whole-model SYPD,
+// excluding initialization — exactly the paper's measurement basis.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "base/timer.hpp"
-#include "par/comm.hpp"
+#include "obs/merge.hpp"
 
 namespace ap3::cpl {
 
-struct PhaseTiming {
-  std::string name;
-  double max_seconds = 0.0;   ///< max across ranks (the getTiming reduction)
-  double mean_seconds = 0.0;
-  long long calls = 0;
-};
-
 struct TimingSummary {
-  std::vector<PhaseTiming> phases;
+  /// The "run"-prefixed driver spans, sorted by name: total_max is the
+  /// getTiming reduction (max across ranks), calls the max across ranks.
+  std::vector<obs::MergedSpan> phases;
   double simulated_seconds = 0.0;
   double wall_seconds = 0.0;  ///< max across ranks of the run phase total
   /// Simulated-years-per-day, the paper's headline metric.
   double sypd() const;
   std::string to_string() const;
 };
-
-/// Collective: reduce a per-rank registry into the cross-rank summary.
-/// `simulated_seconds` is the model time the measured window covered.
-TimingSummary summarize_timing(const par::Comm& comm,
-                               const TimerRegistry& registry,
-                               double simulated_seconds);
 
 }  // namespace ap3::cpl

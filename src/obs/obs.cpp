@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "base/timer.hpp"
-
 namespace ap3::obs {
 
 namespace detail {
@@ -250,22 +248,6 @@ double total_counter(std::string_view name) {
     gauge = gauge || it->second.is_gauge;
   }
   return gauge ? max : sum;
-}
-
-void fill_registry(const RankBuffer& buffer, std::size_t first_event,
-                   ap3::TimerRegistry& registry, std::string_view prefix) {
-  for (const SpanStats& agg : buffer.aggregate_spans(first_event)) {
-    if (!prefix.empty() &&
-        std::string_view(agg.name).substr(0, prefix.size()) != prefix)
-      continue;
-    TimerStats stats;
-    stats.name = agg.name;
-    stats.calls = agg.calls;
-    stats.total_seconds = agg.total_seconds;
-    stats.max_seconds = agg.max_seconds;
-    stats.min_seconds = agg.min_seconds;
-    registry.absorb(stats);
-  }
 }
 
 }  // namespace ap3::obs

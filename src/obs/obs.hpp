@@ -5,12 +5,13 @@
 // completed span events plus a family of named counters/gauges. Buffers are
 // registered process-wide so exporters (obs/export.hpp) can render one
 // timeline row per simulated rank, and the cross-rank merge collective
-// (obs/merge.hpp) can reduce counters over ap3::par the way getTiming
-// reduces timers.
+// (obs/merge.hpp) can reduce spans and counters over ap3::par the way
+// getTiming reduces timers.
 //
 // Span names follow `component:phase:subphase` (e.g. "cpl:run:atm" or the
 // driver's "run:ocn_phase:ocn_run"); the ':' separators drive tree-report
-// indentation and let cpl::summarize_timing keep its phase semantics.
+// indentation; the driver's "run*" spans are the phases of the getTiming
+// report (cpl::TimingSummary).
 //
 // The whole layer sits behind obs::set_enabled(): when disabled, a span or
 // counter update is a single relaxed atomic load — cheap enough to leave the
@@ -25,10 +26,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-namespace ap3 {
-class TimerRegistry;
-}
 
 namespace ap3::obs {
 
@@ -61,8 +58,8 @@ struct CounterValue {
   bool is_gauge = false;
 };
 
-/// Per-name span aggregate, shaped like base/timer.hpp's TimerStats so the
-/// TimerRegistry compatibility shim can be fed from spans.
+/// Per-name span aggregate of one rank's buffer: the input to the cross-rank
+/// merge (obs/merge.hpp) and the per-rank views of benches and exporters.
 struct SpanStats {
   std::string name;
   long long calls = 0;
@@ -110,7 +107,7 @@ class RankBuffer {
   std::map<std::string, CounterValue> counters() const;
   double counter(std::string_view name) const;
   /// Per-name aggregation of events from `first_event` onward, sorted by
-  /// descending total time (the TimerRegistry::snapshot convention).
+  /// descending total time.
   std::vector<SpanStats> aggregate_spans(std::size_t first_event = 0) const;
 
   void clear();
@@ -169,12 +166,6 @@ void gauge_max(std::string_view name, double value);
 
 /// Counter reduced across every registered buffer: counters sum, gauges max.
 double total_counter(std::string_view name);
-
-/// Feed the TimerRegistry compatibility shim from span aggregates. Only span
-/// names starting with `prefix` are absorbed (empty prefix: all), so the
-/// paper-facing cpl::TimingSummary keeps exactly its legacy phase set.
-void fill_registry(const RankBuffer& buffer, std::size_t first_event,
-                   ap3::TimerRegistry& registry, std::string_view prefix = {});
 
 /// RAII scoped span: records one SpanEvent on this thread's buffer between
 /// construction and destruction. No-op (one atomic load) when disabled.

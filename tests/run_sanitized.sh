@@ -33,8 +33,9 @@ SANITIZERS="${SANITIZERS:-thread address undefined}"
 # index ghost rings through hoisted halo-layout tables: test_grid, test_ocn,
 # test_ice), and the atmosphere (batched GraphHalo calls with width-nlev
 # payloads, and the fused tracer kernel indexing a ghost-only scratch buffer:
-# test_atm).
-FILTER="${1:-test_par|test_io|test_fault|test_mct|test_restart|test_obs|test_async|test_ai|test_balance|test_fleet|test_pack|test_hier|test_properties|test_grid|test_ocn|test_ice|test_atm}"
+# test_atm), and the coupler (timing_summary is an obs::merge collective over
+# every rank's span buffer, in both task layouts: test_coupler).
+FILTER="${1:-test_par|test_io|test_fault|test_mct|test_restart|test_obs|test_async|test_ai|test_balance|test_fleet|test_pack|test_hier|test_properties|test_grid|test_ocn|test_ice|test_atm|test_coupler}"
 JOBS="${JOBS:-$(nproc)}"
 
 for sanitizer in ${SANITIZERS}; do

@@ -1,4 +1,4 @@
-// Unit tests for the base utilities: errors, config, timers, RNG, stats.
+// Unit tests for the base utilities: errors, config, RNG, stats.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 #include "base/error.hpp"
 #include "base/rng.hpp"
 #include "base/stats.hpp"
-#include "base/timer.hpp"
 
 namespace {
 
@@ -82,40 +81,6 @@ TEST(Config, RoundTripsThroughToString) {
   const Config b = Config::from_string(a.to_string());
   EXPECT_DOUBLE_EQ(b.get_double("pi"), 3.25);
   EXPECT_EQ(b.get_int("n"), 42);
-}
-
-TEST(Timer, AbsorbAccumulatesAcrossCalls) {
-  TimerRegistry reg;
-  for (int i = 0; i < 3; ++i)
-    reg.absorb(TimerStats{"work", 1, 0.002, 0.002, 0.002});
-  EXPECT_EQ(reg.calls("work"), 3);
-  EXPECT_NEAR(reg.total("work"), 0.006, 1e-12);
-}
-
-TEST(Timer, AbsorbMergesMinMaxAcrossSources) {
-  TimerRegistry reg;
-  reg.absorb(TimerStats{"t", 2, 3.0, 2.0, 1.0});
-  reg.absorb(TimerStats{"t", 1, 0.5, 0.5, 0.5});
-  const auto snapshot = reg.snapshot();
-  ASSERT_EQ(snapshot.size(), 1u);
-  EXPECT_EQ(snapshot[0].calls, 3);
-  EXPECT_DOUBLE_EQ(snapshot[0].total_seconds, 3.5);
-  EXPECT_DOUBLE_EQ(snapshot[0].max_seconds, 2.0);
-  EXPECT_DOUBLE_EQ(snapshot[0].min_seconds, 0.5);
-}
-
-TEST(Timer, UnknownNameReadsAsZero) {
-  TimerRegistry reg;
-  EXPECT_DOUBLE_EQ(reg.total("never"), 0.0);
-  EXPECT_EQ(reg.calls("never"), 0);
-}
-
-TEST(Timer, MaxAcrossRanksPicksSlowest) {
-  std::vector<TimerStats> ranks(3);
-  ranks[0].total_seconds = 1.0;
-  ranks[1].total_seconds = 5.0;
-  ranks[2].total_seconds = 2.0;
-  EXPECT_DOUBLE_EQ(max_across_ranks(ranks).total_seconds, 5.0);
 }
 
 TEST(Rng, DeterministicForSameSeed) {

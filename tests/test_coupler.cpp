@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "base/constants.hpp"
 #include "coupler/clock.hpp"
@@ -244,12 +246,12 @@ TEST(Coupled, GetTimingReportsSypd) {
     EXPECT_GT(summary.sypd(), 0.0);
     // Phases present and nested times bounded by the run total.
     bool saw_atm = false, saw_ocn = false;
-    for (const PhaseTiming& phase : summary.phases) {
-      EXPECT_LE(phase.mean_seconds, phase.max_seconds + 1e-12);
+    for (const obs::MergedSpan& phase : summary.phases) {
+      EXPECT_LE(phase.total_mean, phase.total_max + 1e-12);
       if (phase.name == "run:atm_ice_phase:atm_run") saw_atm = true;
       if (phase.name == "run:ocn_phase:ocn_run") saw_ocn = true;
       if (phase.name != "run") {
-        EXPECT_LE(phase.max_seconds, summary.wall_seconds + 1e-9);
+        EXPECT_LE(phase.total_max, summary.wall_seconds + 1e-9);
       }
     }
     EXPECT_TRUE(saw_atm);
@@ -257,6 +259,53 @@ TEST(Coupled, GetTimingReportsSypd) {
     // The report renders.
     EXPECT_NE(summary.to_string().find("SYPD"), std::string::npos);
   });
+}
+
+TEST(Coupled, GetTimingConcurrentLayoutIsIdenticalOnEveryRank) {
+  // In the concurrent layout each domain records only its own component
+  // phases; the getTiming report is the union over both domains, reduced
+  // identically on every rank, and holds only the driver's "run*" phases.
+  static std::vector<TimingSummary> summaries(4);
+  par::run(4, [](par::Comm& comm) {
+    CoupledConfig config = small_coupled_config();
+    config.layout = Layout::kConcurrent;
+    config.atm_ranks = 2;
+    CoupledModel model(comm, config);
+    model.run_windows(config.ocn_couple_ratio);
+    summaries[comm.rank()] = model.timing_summary();
+  });
+  const TimingSummary& summary = summaries[0];
+  EXPECT_GT(summary.sypd(), 0.0);
+  for (int r = 1; r < 4; ++r) {
+    EXPECT_EQ(summaries[r].wall_seconds, summary.wall_seconds);
+    EXPECT_EQ(summaries[r].simulated_seconds, summary.simulated_seconds);
+    ASSERT_EQ(summaries[r].phases.size(), summary.phases.size());
+    for (std::size_t p = 0; p < summary.phases.size(); ++p) {
+      const obs::MergedSpan& mine = summaries[r].phases[p];
+      EXPECT_EQ(mine.name, summary.phases[p].name);
+      EXPECT_EQ(mine.calls, summary.phases[p].calls);
+      EXPECT_EQ(mine.total_max, summary.phases[p].total_max);
+      EXPECT_EQ(mine.total_mean, summary.phases[p].total_mean);
+    }
+  }
+  auto find = [&](const std::string& name) -> const obs::MergedSpan* {
+    for (const obs::MergedSpan& phase : summary.phases)
+      if (phase.name == name) return &phase;
+    return nullptr;
+  };
+  EXPECT_NE(find("run"), nullptr);
+  // Recorded by one domain (2 of 4 ranks) only: the cross-rank mean counts
+  // the other domain's ranks as zero.
+  for (const char* name : {"run:atm_ice_phase:atm_run",
+                           "run:atm_ice_phase:ice_run",
+                           "run:ocn_phase:ocn_run"}) {
+    const obs::MergedSpan* phase = find(name);
+    ASSERT_NE(phase, nullptr) << name;
+    EXPECT_GT(phase->total_max, 0.0) << name;
+    EXPECT_LE(phase->total_mean, 0.5 * phase->total_max + 1e-12) << name;
+  }
+  for (const obs::MergedSpan& phase : summary.phases)
+    EXPECT_TRUE(phase.name.starts_with("run")) << phase.name;
 }
 
 TEST(Coupled, WindowSecondsConsistent) {

@@ -8,7 +8,6 @@
 
 #include "atm/vortex.hpp"
 #include "base/constants.hpp"
-#include "base/timer.hpp"
 #include "coupler/fluxes.hpp"
 #include "grid/partition.hpp"
 #include "io/subfile.hpp"
@@ -301,25 +300,6 @@ TEST(EdgeIo, EmptyRankContribution) {
     comm.barrier();
   });
   std::remove((base + ".0.bin").c_str());
-}
-
-// --- timers --------------------------------------------------------------------------
-
-TEST(EdgeTimer, SnapshotSortedByTotal) {
-  TimerRegistry registry;
-  registry.absorb(TimerStats{"fast", 1, 0.001, 0.001, 0.001});
-  registry.absorb(TimerStats{"slow", 1, 0.75, 0.75, 0.75});
-  const auto snapshot = registry.snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);
-  EXPECT_EQ(snapshot[0].name, "slow");
-}
-
-TEST(EdgeTimer, ReportRendersNestedNames) {
-  TimerRegistry registry;
-  registry.absorb(TimerStats{"run", 1, 1.0, 1.0, 1.0});
-  registry.absorb(TimerStats{"run:phase", 1, 0.4, 0.4, 0.4});
-  const std::string report = registry.report();
-  EXPECT_NE(report.find("run:phase"), std::string::npos);
 }
 
 }  // namespace

@@ -179,7 +179,7 @@ TEST(Integration, PerfModelUsesRealComponentConstants) {
 TEST(Integration, CoupledTimersObserveComponentRatio) {
   // The atmosphere does far more work per window than the ice; wall-clock
   // observation through the whole stack should reflect it. Measured with the
-  // observability layer's RAII span (the TimerRegistry start/stop migration).
+  // observability layer's RAII span.
   par::run(1, [](par::Comm& comm) {
     cpl::CoupledModel model(comm, tiny_config());
     const std::size_t mark = obs::local().event_count();

@@ -1,9 +1,8 @@
 // Tests for the unified observability layer (src/obs): RAII span nesting,
 // the enabled/disabled toggle, counter determinism across execution spaces,
 // traffic accounting for par collectives, the cross-rank merge collective,
-// the TimerRegistry compatibility shim, and the Chrome-trace exporter
-// (round-tripped through a real coupled-model run, the quickstart --trace
-// path).
+// the tree report, and the Chrome-trace exporter (round-tripped through a
+// real coupled-model run, the quickstart --trace path).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -13,7 +12,6 @@
 #include <sstream>
 #include <vector>
 
-#include "base/timer.hpp"
 #include "coupler/driver.hpp"
 #include "obs/export.hpp"
 #include "obs/merge.hpp"
@@ -382,34 +380,9 @@ TEST(ObsMerge, SumsCountersAndMaxesSpansAcrossRanks) {
   });
 }
 
-// --- TimerRegistry compatibility shim ----------------------------------------
+// --- tree report -------------------------------------------------------------
 
-TEST(ObsShim, TimerRegistryFedFromSpans) {
-  fresh_obs();
-  {
-    AP3_SPAN("cpl");
-    {
-      AP3_SPAN("cpl:run");
-    }
-  }
-  {
-    AP3_SPAN("cpl");
-  }
-  TimerRegistry registry;
-  obs::fill_registry(obs::local(), 0, registry);
-  EXPECT_EQ(registry.calls("cpl"), 2);
-  EXPECT_EQ(registry.calls("cpl:run"), 1);
-  EXPECT_GE(registry.total("cpl"), registry.total("cpl:run"));
-  EXPECT_NE(registry.report().find("cpl:run"), std::string::npos);
-
-  // Prefix filtering keeps the paper-facing phase namespace clean.
-  TimerRegistry filtered;
-  obs::fill_registry(obs::local(), 0, filtered, "cpl:run");
-  EXPECT_EQ(filtered.calls("cpl:run"), 1);
-  EXPECT_EQ(filtered.calls("cpl"), 0);
-}
-
-TEST(ObsShim, TreeReportIsSupersetOfTimerReport) {
+TEST(ObsTree, TreeReportListsSpansAndCounters) {
   fresh_obs();
   {
     AP3_SPAN("a");
@@ -430,28 +403,28 @@ TEST(ObsTrace, CoupledRunRoundTripsThroughChromeTrace) {
   fresh_obs();
   const std::string path = "obs_trace_test.json";
 
-  double span_sypd = 0.0, legacy_sypd = 0.0;
+  double span_sypd = 0.0, wall_sypd = 0.0;
   par::run(2, [&](par::Comm& comm) {
     cpl::CoupledConfig config = tiny_coupled_config();
     cpl::CoupledModel model(comm, config);
 
-    // Legacy getTiming-shaped path: one wall-clock measurement of the
-    // identical run absorbed into a registry.
-    TimerRegistry legacy;
+    // Direct measurement of the identical run: a wall clock around it,
+    // reduced with the getTiming max across ranks.
     const auto wall_start = std::chrono::steady_clock::now();
     model.run_windows(config.ocn_couple_ratio);
     const double wall_secs = std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - wall_start)
                                  .count();
-    legacy.absorb(TimerStats{"run", 1, wall_secs, wall_secs, wall_secs});
-    const double simulated =
+    cpl::TimingSummary measured;
+    measured.simulated_seconds =
         static_cast<double>(model.windows_run()) * model.atm_window_seconds();
+    measured.wall_seconds =
+        comm.allreduce_value(wall_secs, par::ReduceOp::kMax);
     const cpl::TimingSummary from_spans = model.timing_summary();
-    const cpl::TimingSummary from_legacy =
-        cpl::summarize_timing(comm, legacy, simulated);
+    EXPECT_DOUBLE_EQ(from_spans.simulated_seconds, measured.simulated_seconds);
     if (comm.rank() == 0) {
       span_sypd = from_spans.sypd();
-      legacy_sypd = from_legacy.sypd();
+      wall_sypd = measured.sypd();
     }
 
     // Driver phases present, fed from spans.
@@ -464,10 +437,11 @@ TEST(ObsTrace, CoupledRunRoundTripsThroughChromeTrace) {
     EXPECT_TRUE(saw_atm);
   });
 
-  // SYPD derived from spans matches the legacy timer path to within 1%.
+  // SYPD derived from spans matches the directly measured wall-clock SYPD to
+  // within 1%.
   ASSERT_GT(span_sypd, 0.0);
-  ASSERT_GT(legacy_sypd, 0.0);
-  EXPECT_NEAR(span_sypd / legacy_sypd, 1.0, 0.01);
+  ASSERT_GT(wall_sypd, 0.0);
+  EXPECT_NEAR(span_sypd / wall_sypd, 1.0, 0.01);
 
   // Per-rank coupler phase spans nest correctly inside their "run" span.
   std::size_t expected_events = 0;
